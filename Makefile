@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-baseline bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json benchguard repin ci
+.PHONY: all build test vet fmt-check lint lint-fix-hints race race-fault bench-smoke bench-tick bench-tick-json bench-fleet bench-fleet-json bench-http bench-http-json benchguard repin bzbench-test ci
 
 all: build
 
@@ -55,12 +55,6 @@ race-fault:
 # Every benchmark once — correctness of the benchmark harness, not timing.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-# Record the benchmark baseline consumed by the performance trajectory.
-# Full `go test -bench . -benchmem` output, converted to JSON.
-bench-baseline:
-	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' ./... \
-		| tee /dev/stderr | sh scripts/bench_json.sh > BENCH_parallel_runner.json
 
 # Tick-kernel smoke: the ticks/sec and per-kernel alloc benchmarks at a
 # short fixed iteration count — keeps the kernel benchmarks compiling and
@@ -127,5 +121,11 @@ repin:
 	@test -n "$(REASON)" || { echo 'make repin requires REASON="why the bits moved"' >&2; exit 1; }
 	$(GO) run ./cmd/goldendump -repin internal/experiments/testdata/golden_epoch.json -reason "$(REASON)"
 
-ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http
+# The end-to-end benchmark (bzbench/) is its own Go module, so the root
+# `go test ./...` never builds it: vet it and run its helper tests here.
+bzbench-test:
+	$(GO) -C bzbench vet ./...
+	$(GO) -C bzbench test ./...
+
+ci: benchguard fmt-check vet lint race-fault race bench-smoke bench-tick bench-fleet bench-http bzbench-test
 	@echo ci: OK

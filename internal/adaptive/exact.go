@@ -22,10 +22,13 @@ const exactGrid = 4096
 //
 // Threshold is the hottest call in the Figure 12/13 tick path, so the
 // clusterer keeps a persistent sorted mirror of the value log (merged
-// incrementally per call) and reusable scratch buffers, and scans the
-// candidate grid with monotone pointers instead of per-candidate binary
-// searches: O(new·log new + n + grid) per call and allocation-free at
-// steady state, with bit-identical results to the direct evaluation.
+// incrementally per call) and scratch buffers that grow amortized with the
+// log, scans the candidate grid with monotone pointers instead of
+// per-candidate binary searches, and remembers its last result by log
+// length: O(new·log new + n + grid) per call that sees new values, O(1)
+// per repeat call, with bit-identical results to the direct evaluation.
+// A log that grows by one value per call allocates O(log n) times in
+// total; a call that sees no new values allocates nothing.
 type ExactClusterer struct {
 	values []float64
 
@@ -36,6 +39,13 @@ type ExactClusterer struct {
 	tail   []float64
 	merged []float64
 	prefix []float64
+
+	// cachedN is the log length the cached Threshold result was computed
+	// at (0: none). The log only grows between Resets, so its length
+	// identifies its contents.
+	cachedN      int
+	cachedLambda float64
+	cachedOK     bool
 }
 
 // Add records a variance value.
@@ -53,6 +63,7 @@ func (e *ExactClusterer) Total() int { return len(e.values) }
 func (e *ExactClusterer) Reset() {
 	e.values = e.values[:0]
 	e.sorted = e.sorted[:0]
+	e.cachedN = 0
 }
 
 // syncSorted brings the persistent sorted mirror up to date with the
@@ -67,19 +78,16 @@ func (e *ExactClusterer) syncSorted() {
 	if s == n {
 		return
 	}
-	if cap(e.tail) < n {
-		e.tail = make([]float64, 0, n)
-	}
-	tail := append(e.tail[:0], e.values[s:n]...)
+	// Every buffer grows through append, so a log that gains a few values
+	// per call reallocates geometrically rather than on every call.
+	e.tail = append(e.tail[:0], e.values[s:n]...)
+	tail := e.tail
 	slices.Sort(tail)
 	if s == 0 {
 		e.sorted = append(e.sorted[:0], tail...)
 		return
 	}
-	if cap(e.merged) < n {
-		e.merged = make([]float64, 0, n)
-	}
-	out := e.merged[:0]
+	out := slices.Grow(e.merged[:0], n)
 	i, j := 0, 0
 	for i < s && j < len(tail) {
 		if e.sorted[i] <= tail[j] {
@@ -97,11 +105,22 @@ func (e *ExactClusterer) syncSorted() {
 
 // Threshold returns the split λ minimising the Algorithm-1 objective over
 // the candidate grid. ok is false with fewer than two distinct values.
+// Repeat calls with no values added in between return the cached result.
 func (e *ExactClusterer) Threshold() (lambda float64, ok bool) {
 	n := len(e.values)
 	if n < 2 {
 		return 0, false
 	}
+	if n != e.cachedN {
+		e.cachedLambda, e.cachedOK = e.threshold(n)
+		e.cachedN = n
+	}
+	return e.cachedLambda, e.cachedOK
+}
+
+// threshold evaluates the candidate grid over the first n ≥ 2 logged
+// values.
+func (e *ExactClusterer) threshold(n int) (lambda float64, ok bool) {
 	e.syncSorted()
 	sorted := e.sorted
 	vmin, vmax := sorted[0], sorted[n-1]
@@ -110,10 +129,8 @@ func (e *ExactClusterer) Threshold() (lambda float64, ok bool) {
 		return 0, false
 	}
 
-	if cap(e.prefix) < n+1 {
-		e.prefix = make([]float64, n+1)
-	}
-	prefix := e.prefix[:n+1]
+	e.prefix = slices.Grow(e.prefix[:0], n+1)[:n+1]
+	prefix := e.prefix
 	prefix[0] = 0
 	for i, v := range sorted {
 		prefix[i+1] = prefix[i] + v

@@ -158,3 +158,49 @@ func TestExactThresholdSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state Threshold allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// A log grown one value per Threshold call — the scheduler's pattern —
+// reallocates its buffers geometrically: O(log n) allocations over the
+// whole growth, not one or more per call.
+func TestExactThresholdGrowthAllocsLogarithmic(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewPCG(5, 11))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.ExpFloat64()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		e := &ExactClusterer{}
+		for _, v := range vals {
+			e.Add(v)
+			e.Threshold()
+		}
+	})
+	// Five growing buffers (log, sorted mirror, merge scratch, tail,
+	// prefix sums), each reallocated at most ~2·log2(n) times by append's
+	// growth rule, plus the clusterer itself.
+	limit := 5*2*math.Log2(n) + 1
+	t.Logf("%d values, one Threshold per value: %.0f allocations (limit %.0f)", n, allocs, limit)
+	if allocs > limit {
+		t.Errorf("growing the log by one value per call allocated %.0f times over %d calls, want <= %.0f (O(log n))",
+			allocs, n, limit)
+	}
+}
+
+// The cached result is keyed by log length, which identifies the log's
+// contents only between Resets: a refilled log of the same length must
+// be evaluated afresh.
+func TestExactThresholdCacheClearedByReset(t *testing.T) {
+	e := &ExactClusterer{}
+	e.Add(1)
+	e.Add(2)
+	if got, ok := e.Threshold(); !ok || got != mustRef(t, []float64{1, 2}) {
+		t.Fatalf("Threshold = %v,%v", got, ok)
+	}
+	e.Reset()
+	e.Add(10)
+	e.Add(20)
+	if got, ok := e.Threshold(); !ok || got != mustRef(t, []float64{10, 20}) {
+		t.Errorf("Threshold after Reset and refill = %v,%v; want %v", got, ok, mustRef(t, []float64{10, 20}))
+	}
+}

@@ -122,6 +122,10 @@ type Scheduler struct {
 	// Ground-truth threshold, recomputed on the same cadence as λ.
 	exactLambda float64
 	exactOK     bool
+	// exactShared marks a Group member whose exact clusterer is fed by
+	// the group's first member: it reads the shared ground truth but
+	// never adds to it.
+	exactShared bool
 
 	w         int
 	stableRun int
@@ -261,7 +265,9 @@ func (s *Scheduler) OnSample(reading float64) Event {
 	loBefore, hiBefore, okBefore := s.hist.Range()
 	s.hist.Add(v)
 	if s.exact != nil {
-		s.exact.Add(v)
+		if !s.exactShared {
+			s.exact.Add(v)
+		}
 		// A histogram rescale is where the approximation error enters
 		// (old counts are re-rounded onto the new grid) while the device's
 		// own λ stays stale until its periodic update. Refreshing the

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +110,52 @@ func TestNetScenarioStructure(t *testing.T) {
 	}
 	if len(sc.DetectionDelays(2*time.Minute)) == 0 {
 		t.Error("no events detected by the observing motes")
+	}
+}
+
+// fig12FixturePath pins Fig12's accuracies bit for bit: Float64bits of
+// every default-N AccuracyPct at seed 1 and a 2 h horizon.
+const fig12FixturePath = "testdata/fig12_seed1_2h.json"
+
+type fig12Fixture struct {
+	Seed    uint64 `json:"seed"`
+	Horizon string `json:"horizon"`
+	Points  []struct {
+		N    int    `json:"n"`
+		Bits string `json:"accuracy_pct_bits"`
+	} `json:"points"`
+}
+
+func TestFig12BitsMatchFixture(t *testing.T) {
+	raw, err := os.ReadFile(fig12FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fx fig12Fixture
+	if err := json.Unmarshal(raw, &fx); err != nil {
+		t.Fatal(err)
+	}
+	d, err := time.ParseDuration(fx.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Fig12(context.Background(), fx.Seed, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Points) != len(fx.Points) {
+		t.Fatalf("Fig12 has %d points, fixture %d", len(r.Points), len(fx.Points))
+	}
+	for i, p := range r.Points {
+		want, err := strconv.ParseUint(fx.Points[i].Bits, 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.N != fx.Points[i].N || math.Float64bits(p.AccuracyPct) != want {
+			t.Errorf("N=%d: AccuracyPct %v (%#016x), fixture N=%d %v (%s)",
+				p.N, p.AccuracyPct, math.Float64bits(p.AccuracyPct),
+				fx.Points[i].N, math.Float64frombits(want), fx.Points[i].Bits)
+		}
 	}
 }
 

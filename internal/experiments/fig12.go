@@ -30,57 +30,67 @@ type Fig12Result struct {
 // Fig12 replays the scenario's recorded sensor streams through schedulers
 // of varying histogram size and scores each against the exact-clustering
 // ground truth. It runs through the Default suite: the scenario is
-// memoized and the per-N replays execute in parallel.
+// memoized and the per-device replays execute in parallel.
 func Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
 	return Default.Fig12(ctx, seed, d, ns)
 }
 
-// fig12Point scores one histogram size against the recorded streams. It
-// only reads the scenario, so distinct Ns replay concurrently.
-func fig12Point(sc *NetScenario, n int) (Fig12Point, error) {
-	acc, err := replayAccuracy(sc, n)
-	if err != nil {
-		return Fig12Point{}, err
-	}
-	hist, err := adaptive.NewHistogram(n)
-	if err != nil {
-		return Fig12Point{}, err
-	}
-	return Fig12Point{
-		N:           n,
-		AccuracyPct: acc * 100,
-		RAMBytes:    hist.RAMBytes(),
-		CPUSeconds:  adaptive.CPUSecondsMSP430(n),
-	}, nil
+// fig12Device is one device's replay: for each histogram size, the
+// decision accuracy and whether the scheduler made any decisions.
+type fig12Device struct {
+	frac    []float64
+	decided []bool
 }
 
-// replayAccuracy feeds every recorded device stream through a fresh
-// scheduler with histogram size n and returns the mean decision accuracy.
-// Devices are visited in sorted order so the accumulated mean is
-// bit-identical across runs and pool widths.
-func replayAccuracy(sc *NetScenario, n int) (float64, error) {
-	var sum float64
-	devices := 0
-	for _, id := range sortedKeys(sc.Readings) {
-		cfg := adaptive.DefaultConfig(sc.TsplS[id])
-		cfg.N = n
-		cfg.TrackExact = true
-		sched, err := adaptive.NewScheduler(cfg)
+// replayDevice feeds one recorded device stream once through a lockstep
+// group with one scheduler per histogram size in ns, all scored against
+// one shared exact-clustering ground truth. It only reads the scenario,
+// so distinct devices replay concurrently.
+func replayDevice(sc *NetScenario, id string, ns []int) (fig12Device, error) {
+	g, err := adaptive.NewGroup(adaptive.DefaultConfig(sc.TsplS[id]), ns)
+	if err != nil {
+		return fig12Device{}, err
+	}
+	for _, v := range sc.Readings[id] {
+		g.OnSample(v)
+	}
+	dev := fig12Device{frac: make([]float64, len(ns)), decided: make([]bool, len(ns))}
+	for i := range ns {
+		frac, decisions := g.Accuracy(i)
+		dev.frac[i], dev.decided[i] = frac, decisions > 0
+	}
+	return dev, nil
+}
+
+// fig12Points averages each histogram size's accuracy over the devices
+// that made decisions. devs is in sorted device order, so every mean is
+// accumulated in the same order at any pool width.
+func fig12Points(devs []fig12Device, ns []int) ([]Fig12Point, error) {
+	pts := make([]Fig12Point, len(ns))
+	for i, n := range ns {
+		var sum float64
+		devices := 0
+		for _, dev := range devs {
+			if dev.decided[i] {
+				sum += dev.frac[i]
+				devices++
+			}
+		}
+		if devices == 0 {
+			return nil, fmt.Errorf("experiments: no devices produced decisions")
+		}
+		hist, err := adaptive.NewHistogram(n)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		for _, v := range sc.Readings[id] {
-			sched.OnSample(v)
-		}
-		if frac, decisions := sched.Accuracy(); decisions > 0 {
-			sum += frac
-			devices++
+		pts[i] = Fig12Point{
+			N:           n,
+			AccuracyPct: sum / float64(devices) * 100,
+			RAMBytes:    hist.RAMBytes(),
+			CPUSeconds:  adaptive.CPUSecondsMSP430(n),
 		}
 	}
-	if devices == 0 {
-		return 0, fmt.Errorf("experiments: no devices produced decisions")
-	}
-	return sum / float64(devices), nil
+	return pts, nil
 }
 
 // Summary renders the N-selection table.

@@ -57,8 +57,9 @@ func (s *Suite) CachedScenarios() int { return s.scenarios.Len() }
 // PurgeScenarios drops every retained scenario, releasing their memory.
 func (s *Suite) PurgeScenarios() { s.scenarios.Purge() }
 
-// Fig12 is the N-selection study against the suite's cached scenario,
-// with the per-N replays fanned across the pool.
+// Fig12 is the N-selection study against the suite's cached scenario.
+// Each device stream is replayed once, through every histogram size in
+// lockstep, with the devices fanned across the pool.
 func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
 	if len(ns) == 0 {
 		ns = []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 70}
@@ -67,19 +68,21 @@ func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []in
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig12Result{Scenario: sc, Points: make([]Fig12Point, len(ns))}
-	err = s.pool.ForEach(ctx, len(ns), func(_ context.Context, i int) error {
-		p, err := fig12Point(sc, ns[i])
-		if err != nil {
-			return err
-		}
-		res.Points[i] = p
-		return nil
+	ids := sortedKeys(sc.Readings)
+	devs := make([]fig12Device, len(ids))
+	err = s.pool.ForEach(ctx, len(ids), func(_ context.Context, i int) error {
+		dev, err := replayDevice(sc, ids[i], ns)
+		devs[i] = dev
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	pts, err := fig12Points(devs, ns)
+	if err != nil {
+		return nil, err
+	}
+	return &Fig12Result{Scenario: sc, Points: pts}, nil
 }
 
 // Fig13 extracts the accuracy trajectory from the cached scenario.

@@ -5,7 +5,7 @@
 //
 //	bubblezerod -addr 127.0.0.1:8080
 //
-// See internal/twin.Server for the route table and DESIGN.md §11 for the
+// See internal/twin.Server for the route table and DESIGN.md §10 for the
 // API contract.
 package main
 

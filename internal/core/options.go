@@ -5,7 +5,6 @@ import (
 
 	"bubblezero/internal/fault"
 	"bubblezero/internal/psychro"
-	"bubblezero/internal/thermal"
 	"bubblezero/internal/trace"
 	"bubblezero/internal/wsn"
 )
@@ -27,9 +26,6 @@ type sysOpts struct {
 	// single validated Config instead of carrying a private copy.
 	seed    *uint64
 	outdoor *psychro.State
-
-	bank    *thermal.RoomBank
-	bankRow int
 }
 
 func (o *sysOpts) edit(fn func(*Config)) {
@@ -85,17 +81,6 @@ func WithOutdoor(tC, dewC float64) Option {
 		st := psychro.NewStateDewPoint(tC, dewC, 0)
 		o.outdoor = &st
 	}
-}
-
-// WithZoneBank builds the system's thermal room as a view into row of a
-// shard-level RoomBank instead of private heap storage. The room runs the
-// identical kernel either way (results are bit-identical to an unbanked
-// build); what the bank buys a fleet is contiguous zone state, so a shard
-// can take over every building's physics (System.TakeOverRoom) and stream
-// one fused RoomBank.StepAll pass per tick. A per-instance override like
-// WithSeed: fleet members sharing one Config bind disjoint bank rows.
-func WithZoneBank(bank *thermal.RoomBank, row int) Option {
-	return func(o *sysOpts) { o.bank, o.bankRow = bank, row }
 }
 
 // WithTracePeriod overrides the recorder sampling period (0 disables

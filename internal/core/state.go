@@ -84,7 +84,7 @@ type SystemState struct {
 }
 
 // ExportState captures the system's full mutable state. Call it between
-// ticks, after sim.Engine.FlushCadenced.
+// runs, where the engine has caught every cadenced component up.
 func (s *System) ExportState() (SystemState, error) {
 	eng, err := s.engine.ExportState()
 	if err != nil {

@@ -27,10 +27,9 @@ type System struct {
 	// private copy (when an option edited it). It is read-only either way.
 	cfg *Config
 
-	engine  *sim.Engine
-	room    *thermal.Room
-	roomReg *sim.Registration
-	net     *wsn.Network
+	engine *sim.Engine
+	room   *thermal.Room
+	net    *wsn.Network
 
 	radiantTank *hydraulic.Tank
 	ventTank    *hydraulic.Tank
@@ -142,14 +141,7 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 	if o.outdoor != nil {
 		thermalCfg.Outdoor = *o.outdoor
 	}
-	var room *thermal.Room
-	if o.bank != nil {
-		// Banked build: the room's state lives in the shard bank's row.
-		// Same kernel, same arithmetic — only the storage moves.
-		room, err = o.bank.NewRoomAtOutdoor(o.bankRow, thermalCfg)
-	} else {
-		room, err = thermal.NewRoomAtOutdoor(thermalCfg)
-	}
+	room, err := thermal.NewRoomAtOutdoor(thermalCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -264,9 +256,7 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 	engine.Register(sim.ComponentFunc{ID: "core.glue", Fn: s.glue})
 	// The room is registered LAST: within a tick everything else (sensors,
 	// network, controllers, glue) runs first, then the physics advances.
-	// TakeOverRoom relies on this — a fleet stepping the room externally
-	// after Engine.StepTick reproduces the same within-tick position.
-	s.roomReg = engine.Register(room)
+	engine.Register(room)
 
 	if err := s.plan.Apply(engine.Timeline(), cfg.Start, s.faultTarget()); err != nil {
 		return nil, err
@@ -292,16 +282,6 @@ func (s *System) ApplyFaults(base time.Time, plan *fault.Plan) error {
 
 // Engine returns the simulation engine (for scheduling scenario events).
 func (s *System) Engine() *sim.Engine { return s.engine }
-
-// TakeOverRoom removes the thermal room from the engine's per-tick
-// delivery and hands stepping responsibility to the caller — the fleet's
-// physics-takeover hook. The room is the last component in the engine's
-// step order, so a caller that runs Engine.StepTick and then steps the
-// room (directly or via RoomBank.StepAll) executes the exact sequence the
-// engine would have: sensors → network → controllers → glue → physics.
-//
-//bzlint:mutsetter fleet.Apply
-func (s *System) TakeOverRoom() { s.roomReg.TakeOver() }
 
 // Room returns the thermal model.
 func (s *System) Room() *thermal.Room { return s.room }

@@ -88,16 +88,6 @@ type Config struct {
 	// becomes cancellable) every EpochTicks ticks. 0 selects 512. The
 	// epoch length never affects per-building results.
 	EpochTicks int
-	// Bank selects the fused shard step: each shard's buildings bind
-	// their zone state into one contiguous thermal.RoomBank and the shard
-	// advances tick-phased — every building's engine steps its sensors,
-	// network, controllers, and glue for a tick, then one RoomBank.StepAll
-	// pass integrates the whole shard's physics. Per-building results are
-	// bit-identical to the unbanked path (and to Standalone): the bank
-	// runs the identical kernel per building in the identical within-tick
-	// position, only the storage layout and stepping order across
-	// *independent* buildings change. DefaultConfig enables it.
-	Bank bool
 	// Vary bounds the deterministic per-building parameter draws.
 	Vary Variation
 	// FaultPlan, when non-nil, supplies a fault plan per building (nil
@@ -117,7 +107,6 @@ func DefaultConfig(n int) Config {
 		Seed:           1,
 		Base:           core.DefaultConfig(),
 		MemBudgetBytes: 128 << 10,
-		Bank:           true,
 		Vary: Variation{
 			OutdoorTempLoC: 28, OutdoorTempHiC: 34,
 			OutdoorDewLoC: 24, OutdoorDewHiC: 27,

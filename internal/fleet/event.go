@@ -166,17 +166,10 @@ func (f *Fleet) drainEvents() error {
 func (f *Fleet) applyNow(ev Event, tick uint64) error {
 	switch ev.Kind {
 	case EventClimate:
-		// One precomputed Climate, installed everywhere by assignment: a
-		// bank-level sweep per shard on the banked path, a per-system loop
-		// otherwise. Both routes go through thermal.NewClimate, so they are
-		// bit-identical to each room recomputing its own boundary terms.
+		// One precomputed Climate, installed everywhere by assignment. It
+		// goes through thermal.NewClimate, so it is bit-identical to each
+		// room recomputing its own boundary terms.
 		c := thermal.NewClimate(psychro.NewStateDewPoint(ev.TC, ev.DewC, 0), f.cfg.Base.Thermal.OutdoorCO2PPM)
-		if f.banks != nil {
-			for _, bank := range f.banks {
-				bank.SetClimateAll(c)
-			}
-			return nil
-		}
 		for _, sys := range f.buildings {
 			sys.Room().SetClimate(c)
 		}

@@ -193,8 +193,8 @@ func roomStateKey(sys *core.System) string {
 	return sb.String()
 }
 
-// TestFleetBankBitIdenticalAcrossShards pins the fused-bank tentpole:
-// a banked fleet's buildings are bit-identical to their unbanked
+// TestFleetBankBitIdenticalAcrossShards pins a fleet's buildings
+// bit-identical — Float64bits zone state and trace SHA — to their
 // Standalone references at every shard count, including a shard that
 // mixes a fault-plan building with retention-sampled buildings (at
 // shards=3 the middle shard owns buildings {2,3,4}: 2 and 4 sampled
@@ -222,8 +222,6 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 		return plan
 	}
 
-	// Standalone builds are never banked: the reference is the room with
-	// private storage, stepped in-line by its own engine.
 	wantTrace := make([]string, buildings)
 	wantState := make([]string, buildings)
 	for i := 0; i < buildings; i++ {
@@ -245,18 +243,15 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(shards=%d): %v", shards, err)
 		}
-		if !fl.Banked() {
-			t.Fatalf("shards=%d: fleet is not banked with Config.Bank set", shards)
-		}
 		if err := fl.RunTicks(context.Background(), ticks); err != nil {
 			t.Fatalf("RunTicks(shards=%d): %v", shards, err)
 		}
 		for i := 0; i < buildings; i++ {
 			if got := roomStateKey(fl.Building(i)); got != wantState[i] {
-				t.Errorf("shards=%d building %d: banked zone state diverged from standalone", shards, i)
+				t.Errorf("shards=%d building %d: fleet zone state diverged from standalone", shards, i)
 			}
 			if got := traceSHA(t, fl.Building(i)); got != wantTrace[i] {
-				t.Errorf("shards=%d building %d: banked trace %s != standalone %s",
+				t.Errorf("shards=%d building %d: fleet trace %s != standalone %s",
 					shards, i, got[:12], wantTrace[i][:12])
 			}
 		}
@@ -268,23 +263,40 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 // the cadence-wheel and network backings have grown, an entire epoch
 // allocates only the worker-pool dispatch scaffolding (the per-epoch
 // jobs slice and its closures — 3 objects on the single-shard fast
-// path), independent of the tick count covered.
+// path), independent of the tick count covered. With bank=false the
+// fleet warms up by running; with bank=true it starts from the warmed-up
+// checkpoint a zone-banked build exported at the same tick, then runs
+// four epochs to regrow what restore does not carry.
 func TestFleetTickSteadyStateAllocs(t *testing.T) {
-	for _, bank := range []bool{true, false} {
+	const warmTicks = 12000
+	cfg := DefaultConfig(12)
+	cfg.Shards = 1
+	cfg.EpochTicks = 256
+	ctx := context.Background()
+	for _, bank := range []bool{false, true} {
 		t.Run(fmt.Sprintf("bank=%v", bank), func(t *testing.T) {
-			cfg := DefaultConfig(12)
-			cfg.Shards = 1
-			cfg.EpochTicks = 256
-			cfg.Bank = bank
-			f, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			ctx := context.Background()
-			// Warm up past the adaptive layer's range-learning phase (the
-			// paper's var_max settles within ~1.5 simulated hours).
-			if err := f.RunTicks(ctx, 12000); err != nil {
-				t.Fatalf("warm-up: %v", err)
+			var f *Fleet
+			if bank {
+				f = restoreBankFixture(t, cfg, "banked_allocs_v1.gob.gz")
+				if got := f.Ticks(); got != warmTicks {
+					t.Fatalf("fixture restored at tick %d, want %d", got, warmTicks)
+				}
+				// A restored fleet regrows its backings over its first few
+				// epochs (48 objects in the first at 12 buildings, the same
+				// for a checkpoint from this build); four epochs settle it.
+				if err := f.RunTicks(ctx, 4*256); err != nil {
+					t.Fatalf("post-restore warm-up: %v", err)
+				}
+			} else {
+				var err error
+				if f, err = New(ctx, cfg); err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				// Warm up past the adaptive layer's range-learning phase
+				// (the paper's var_max settles within ~1.5 simulated hours).
+				if err := f.RunTicks(ctx, warmTicks); err != nil {
+					t.Fatalf("warm-up: %v", err)
+				}
 			}
 			avg := testing.AllocsPerRun(5, func() {
 				if err := f.RunTicks(ctx, 256); err != nil {
@@ -300,24 +312,32 @@ func TestFleetTickSteadyStateAllocs(t *testing.T) {
 
 // TestFleetClimateEventMatchesPerBuilding pins the shared-climate fast
 // path behind the event API: a queued EventClimate — applied at the next
-// epoch boundary as a bank-level SetClimateAll per shard on the banked
-// path, a per-system loop otherwise — must be bit-identical to each
-// building recomputing its own boundary terms via Room.SetOutdoor. Both
-// updates land between RunTicks calls at ticks 300 and 512+300, neither a
-// multiple of the 512-tick epoch grid, so the banked path proves a
-// weather change between phased epochs reaches every bank row.
+// epoch boundary by installing one precomputed Climate in every room —
+// must be bit-identical to each building recomputing its own boundary
+// terms via Room.SetOutdoor. Both updates land between RunTicks calls at
+// ticks 300 and 512+300, neither a multiple of the 512-tick epoch grid,
+// and the fleet has two shards, so the change must reach every building
+// of every shard. With bank=false both fleets reach tick 300 by running;
+// with bank=true both restore the tick-300 checkpoint a zone-banked build
+// exported from the same Config.
 func TestFleetClimateEventMatchesPerBuilding(t *testing.T) {
 	const buildings = 4
-	for _, bank := range []bool{true, false} {
-		t.Run(fmt.Sprintf("bank=%v", bank), func(t *testing.T) {
-			cfg := DefaultConfig(buildings)
-			cfg.SampleEvery = 1
-			cfg.MemBudgetBytes = 0
-			cfg.Shards = 2
-			cfg.EpochTicks = 512
-			cfg.Bank = bank
+	cfg := DefaultConfig(buildings)
+	cfg.SampleEvery = 1
+	cfg.MemBudgetBytes = 0
+	cfg.Shards = 2
+	cfg.EpochTicks = 512
 
+	for _, bank := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bank=%v", bank), func(t *testing.T) {
 			mk := func() *Fleet {
+				if bank {
+					fl := restoreBankFixture(t, cfg, "banked_climate_v1.gob.gz")
+					if got := fl.Ticks(); got != 300 {
+						t.Fatalf("fixture restored at tick %d, want 300", got)
+					}
+					return fl
+				}
 				fl, err := New(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("New: %v", err)

@@ -1,7 +1,12 @@
 package fleet
 
 import (
+	"compress/gzip"
 	"context"
+	"encoding/gob"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,15 +16,14 @@ import (
 
 // snapshotCfg is the round-trip scenario: a small sharded fleet with full
 // sampling, a construction fault plan on building 1 (so its watchdog is
-// armed and its state travels in the snapshot), banked or not.
-func snapshotCfg(t *testing.T, bank bool) Config {
+// armed and its state travels in the snapshot).
+func snapshotCfg(t *testing.T) Config {
 	t.Helper()
 	cfg := DefaultConfig(4)
 	cfg.SampleEvery = 1
 	cfg.MemBudgetBytes = 0
 	cfg.Shards = 2
 	cfg.EpochTicks = 256
-	cfg.Bank = bank
 	cfg.FaultPlan = func(i int, seed uint64) *fault.Plan {
 		if i != 1 {
 			return nil
@@ -60,51 +64,102 @@ func applyAll(t *testing.T, fl *Fleet, evs []Event) {
 	}
 }
 
+// readBankFixture decodes testdata/<name>, a gzipped gob State that an
+// earlier build of the fleet exported with its zone bank on: each shard's
+// rooms were stepped as one fused bank, and every room registration's
+// engine state carries a taken-over flag this build no longer declares
+// (gob skips it on decode). Each fixture was exported from the Config its
+// test uses, at the tick that test's fresh run reaches.
+func readBankFixture(t *testing.T, name string) State {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var st State
+	if err := gob.NewDecoder(zr).Decode(&st); err != nil {
+		t.Fatalf("decode %s: %v", name, err)
+	}
+	return st
+}
+
+// restoreBankFixture builds a fleet from cfg and restores the banked
+// fixture name into it.
+func restoreBankFixture(t *testing.T, cfg Config, name string) *Fleet {
+	t.Helper()
+	fl, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := fl.RestoreState(readBankFixture(t, name)); err != nil {
+		t.Fatalf("RestoreState(%s): %v", name, err)
+	}
+	return fl
+}
+
 // TestFleetSnapshotRoundTrip pins the digital-twin checkpoint contract:
 // a fleet checkpointed at tick 556 and restored into a freshly built
 // fleet (same Config) must finish the run bit-identical — trace SHA and
 // Float64bits zone state — to the uninterrupted reference, with no
 // golden-epoch re-pin. The scenario covers a construction-armed fault
 // plan, a live-injected plan replayed from the journal, and climate/door
-// events carried purely by component state.
+// events carried purely by component state. With bank=false the
+// checkpoint comes from this build; with bank=true it is the tick-556
+// checkpoint a zone-banked build exported from the same scenario.
 func TestFleetSnapshotRoundTrip(t *testing.T) {
 	const (
 		preTicks  = 300 // before the mutation batch
 		snapTicks = 256 // mutation batch → checkpoint at tick 556
 		endTicks  = 900
 	)
-	for _, bank := range []bool{true, false} {
-		t.Run(boolName("bank", bank), func(t *testing.T) {
-			cfg := snapshotCfg(t, bank)
+	cfg := snapshotCfg(t)
 
-			// Uninterrupted reference.
-			ref, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New(ref): %v", err)
-			}
-			if err := ref.RunTicks(context.Background(), preTicks); err != nil {
-				t.Fatalf("ref pre-run: %v", err)
-			}
-			applyAll(t, ref, liveEvents())
-			if err := ref.RunTicks(context.Background(), endTicks-preTicks); err != nil {
-				t.Fatalf("ref run to end: %v", err)
-			}
+	// Uninterrupted reference.
+	ref, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("New(ref): %v", err)
+	}
+	if err := ref.RunTicks(context.Background(), preTicks); err != nil {
+		t.Fatalf("ref pre-run: %v", err)
+	}
+	applyAll(t, ref, liveEvents())
+	if err := ref.RunTicks(context.Background(), endTicks-preTicks); err != nil {
+		t.Fatalf("ref run to end: %v", err)
+	}
 
-			// Checkpointed run: identical through tick 556, then export.
-			chk, err := New(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("New(chk): %v", err)
-			}
-			if err := chk.RunTicks(context.Background(), preTicks); err != nil {
-				t.Fatalf("chk pre-run: %v", err)
-			}
-			applyAll(t, chk, liveEvents())
-			if err := chk.RunTicks(context.Background(), snapTicks); err != nil {
-				t.Fatalf("chk run to snapshot: %v", err)
-			}
-			st, err := chk.ExportState()
-			if err != nil {
-				t.Fatalf("ExportState: %v", err)
+	// checkpoint runs a second fleet identical to the reference through
+	// tick 556, then exports it.
+	checkpoint := func(t *testing.T) State {
+		chk, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("New(chk): %v", err)
+		}
+		if err := chk.RunTicks(context.Background(), preTicks); err != nil {
+			t.Fatalf("chk pre-run: %v", err)
+		}
+		applyAll(t, chk, liveEvents())
+		if err := chk.RunTicks(context.Background(), snapTicks); err != nil {
+			t.Fatalf("chk run to snapshot: %v", err)
+		}
+		st, err := chk.ExportState()
+		if err != nil {
+			t.Fatalf("ExportState: %v", err)
+		}
+		return st
+	}
+
+	for _, bank := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bank=%v", bank), func(t *testing.T) {
+			var st State
+			if bank {
+				st = readBankFixture(t, "banked_roundtrip_v1.gob.gz")
+			} else {
+				st = checkpoint(t)
 			}
 			if st.Ticks != preTicks+snapTicks {
 				t.Fatalf("snapshot Ticks = %d, want %d", st.Ticks, preTicks+snapTicks)
@@ -145,7 +200,7 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 // export time land in the snapshot: they are applied at the current
 // boundary and journaled, not dropped.
 func TestFleetSnapshotExportDrainsPending(t *testing.T) {
-	cfg := snapshotCfg(t, false)
+	cfg := snapshotCfg(t)
 	fl, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -172,7 +227,7 @@ func TestFleetSnapshotExportDrainsPending(t *testing.T) {
 // refuses a fleet that has already run and a snapshot sized for a
 // different fleet.
 func TestFleetRestoreRejectsMismatch(t *testing.T) {
-	cfg := snapshotCfg(t, false)
+	cfg := snapshotCfg(t)
 	src, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -198,11 +253,4 @@ func TestFleetRestoreRejectsMismatch(t *testing.T) {
 	if err := tgt.RestoreState(st); err == nil || !strings.Contains(err.Error(), "buildings") {
 		t.Fatalf("restore into wrong-size fleet: err = %v, want building-count guard", err)
 	}
-}
-
-func boolName(prefix string, v bool) string {
-	if v {
-		return prefix + "=true"
-	}
-	return prefix + "=false"
 }

@@ -9,7 +9,7 @@ import (
 
 // The mutroute analyzer pins the single-route mutation invariant: every
 // mutation of a running fleet flows through fleet.Apply(Event) (epoch
-// boundary drain + journal, DESIGN.md §11), never through direct setter
+// boundary drain + journal, DESIGN.md §10), never through direct setter
 // calls that would bypass the journal and break snapshot replay.
 //
 // Setters declare themselves with

@@ -12,7 +12,7 @@ import (
 //
 //	//bzlint:state <capture> <restore>
 //
-// is serialized state (gob, DESIGN.md §11), and every one of its fields
+// is serialized state (gob, DESIGN.md §10), and every one of its fields
 // must be referenced both in the named capture function and in the named
 // restore function — matched by base name among the package's function
 // and method declarations — or carry a per-field

@@ -54,10 +54,6 @@ type entry struct {
 	// wheel polls, catch-up) until their Registration resumes them.
 	suspended bool
 
-	// takenOver entries were removed from the every-tick list via
-	// Registration.TakeOver; an external driver steps them directly.
-	takenOver bool
-
 	steps   uint64 // due-tick activations
 	regTick uint64 // clock tick at registration, for skip accounting
 }
@@ -255,10 +251,6 @@ func (e *Engine) StepStats() []ComponentStats {
 			kind = "cadenced"
 		case ent.onDemand:
 			kind = "on-demand"
-		case ent.takenOver:
-			// Steps freeze at the takeover count; the external driver's
-			// calls are not visible to the scheduler.
-			kind = "taken-over"
 		}
 		ticks := now - ent.regTick
 		out[i] = ComponentStats{

@@ -417,6 +417,23 @@ func TestServerEventValidation(t *testing.T) {
 		eventRequest{Kind: "door", Building: 0, DoorS: 45}, http.StatusAccepted, nil)
 }
 
+// TestServerCreateRejectsUnknownFields pins create's strict config
+// decoding: a field the Config does not declare ("unbanked" here) is a
+// 400, not silently ignored.
+func TestServerCreateRejectsUnknownFields(t *testing.T) {
+	srv := NewServer()
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var resp map[string]string
+	httpJSON(t, ts.Client(), http.MethodPost, ts.URL+"/twins",
+		map[string]any{"buildings": 1, "unbanked": true}, http.StatusBadRequest, &resp)
+	if !strings.Contains(resp["error"], `unknown field "unbanked"`) {
+		t.Fatalf("create error = %q, want an unknown-field rejection", resp["error"])
+	}
+}
+
 // TestSnapshotVersionGuard pins the wire-format version check.
 func TestSnapshotVersionGuard(t *testing.T) {
 	var buf bytes.Buffer

@@ -6,17 +6,18 @@
 //	go run ./cmd/bzlint -hints ./internal/... # with suggested rewrites
 //	go run ./cmd/bzlint -json ./...           # machine-readable diagnostics
 //
-// The suite is seven analyzers: determinism, hotpath, floateq,
-// deprecated, statecov, lockcheck, and mutroute, plus the stale-waiver
-// report (-staleallow, on by default). When the CI environment variable
-// is set, diagnostics are also emitted as GitHub Actions
-// ::error annotations so findings surface inline on the PR diff.
+// The suite is six analyzers: determinism, hotpath, floateq, deprecated,
+// lockcheck, and mutroute, plus the stale-waiver report (-staleallow, on
+// by default). When the CI environment variable is set, diagnostics are
+// also emitted as GitHub Actions ::error annotations so findings surface
+// inline on the PR diff.
 //
 // Exit status: 0 when clean, 1 when diagnostics were reported, 2 on a
 // load or type-check failure. The analyzers and the directive syntax
-// (//bzlint:ordered, //bzlint:allow, //bzlint:hotpath, //bzlint:state,
-// //bzlint:guards, //bzlint:holds, //bzlint:mutsetter, //bzlint:mutroute)
-// are documented in DESIGN.md §7 "Static invariants".
+// (//bzlint:ordered, //bzlint:allow, //bzlint:hotpath, //bzlint:guards,
+// //bzlint:holds, //bzlint:mutsetter, //bzlint:mutroute) are documented
+// in DESIGN.md §7 "Static invariants", which also names the tests that
+// check snapshot completeness.
 package main
 
 import (

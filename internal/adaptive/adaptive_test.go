@@ -75,7 +75,7 @@ func TestHistogramRescalePreservesMass(t *testing.T) {
 		t.Errorf("total after rescale = %d, want 7", h.Total())
 	}
 	var mass uint32
-	for _, c := range h.counts {
+	for _, c := range h.st.Counts {
 		mass += c
 	}
 	if int(mass) != 7 {

@@ -19,22 +19,18 @@ import (
 // round each variance value to the closest slot center and maintain a
 // counter U_i").
 type Histogram struct {
-	n      int
-	varMin float64
-	varMax float64
-	// width caches (varMax − varMin)/n, refreshed whenever the range
+	n  int
+	st HistogramState
+	// width caches (VarMax − VarMin)/n, refreshed whenever the range
 	// changes. slotWidth is on the per-sample path and in Threshold's
 	// O(N²) inner loop via center; the cached value is the same float the
 	// divide would produce because it is computed from the same operands.
-	width  float64
-	counts []uint32
+	width float64
 	// scratch is the retired counts backing, reused by rescale so that
 	// range expansions — which every device performs as it learns its
 	// environment — stop allocating once the histogram exists. The swap
 	// moves integer counters only, so it cannot perturb any float result.
-	scratch  []uint32
-	total    int
-	hasRange bool
+	scratch []uint32
 }
 
 // NewHistogram returns a histogram with n slots. n must be at least 2.
@@ -42,19 +38,19 @@ func NewHistogram(n int) (*Histogram, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("adaptive: histogram needs >= 2 slots, got %d", n)
 	}
-	return &Histogram{n: n, counts: make([]uint32, n), scratch: make([]uint32, n)}, nil
+	return &Histogram{n: n, st: HistogramState{Counts: make([]uint32, n)}, scratch: make([]uint32, n)}, nil
 }
 
 // N returns the slot count.
 func (h *Histogram) N() int { return h.n }
 
 // Total returns the number of recorded variance values.
-func (h *Histogram) Total() int { return h.total }
+func (h *Histogram) Total() int { return h.st.Total }
 
 // Range returns the observed [varMin, varMax] and whether any range
 // exists yet (requires at least two distinct values).
 func (h *Histogram) Range() (varMin, varMax float64, ok bool) {
-	return h.varMin, h.varMax, h.hasRange
+	return h.st.VarMin, h.st.VarMax, h.st.HasRange
 }
 
 // slotWidth returns Δvar = (varMax − varMin)/N.
@@ -62,14 +58,14 @@ func (h *Histogram) slotWidth() float64 { return h.width }
 
 // setRange updates the range and the cached slot width.
 func (h *Histogram) setRange(lo, hi float64) {
-	h.varMin, h.varMax = lo, hi
+	h.st.VarMin, h.st.VarMax = lo, hi
 	h.width = (hi - lo) / float64(h.n)
 }
 
 // center returns the center c_i of 1-based slot i:
 // c_i = varMin + (i − 0.5)·Δvar.
 func (h *Histogram) center(i int) float64 {
-	return h.varMin + (float64(i)-0.5)*h.slotWidth()
+	return h.st.VarMin + (float64(i)-0.5)*h.slotWidth()
 }
 
 // slotFor maps a value to a 0-based slot index within the current range.
@@ -78,7 +74,7 @@ func (h *Histogram) slotFor(v float64) int {
 	if w <= 0 {
 		return 0
 	}
-	i := int((v - h.varMin) / w)
+	i := int((v - h.st.VarMin) / w)
 	if i < 0 {
 		i = 0
 	}
@@ -103,48 +99,48 @@ func (h *Histogram) Add(v float64) {
 	// after ≈140 s and var_max after ≈1.5 h).
 	halfSlot := h.slotWidth() / 2
 	switch {
-	case h.total == 0:
+	case h.st.Total == 0:
 		h.setRange(v, v)
-	case !h.hasRange:
+	case !h.st.HasRange:
 		// Second distinct value establishes the range.
-		if v < h.varMin {
-			h.rescale(v, h.varMax)
-		} else if v > h.varMax {
-			h.rescale(h.varMin, v)
+		if v < h.st.VarMin {
+			h.rescale(v, h.st.VarMax)
+		} else if v > h.st.VarMax {
+			h.rescale(h.st.VarMin, v)
 		}
-	case v < h.varMin-halfSlot:
-		h.rescale(v, h.varMax)
-	case v > h.varMax+halfSlot:
-		h.rescale(h.varMin, v)
+	case v < h.st.VarMin-halfSlot:
+		h.rescale(v, h.st.VarMax)
+	case v > h.st.VarMax+halfSlot:
+		h.rescale(h.st.VarMin, v)
 	}
-	if h.varMax > h.varMin {
-		h.hasRange = true
+	if h.st.VarMax > h.st.VarMin {
+		h.st.HasRange = true
 	}
-	h.counts[h.slotFor(v)]++
-	h.total++
+	h.st.Counts[h.slotFor(v)]++
+	h.st.Total++
 }
 
 // rescale re-bins existing counts onto a new [lo, hi] grid by rounding
 // each old slot center to the nearest new slot — the approximation-error
 // source evaluated in Figure 13.
 func (h *Histogram) rescale(lo, hi float64) {
-	old := h.counts
-	oldMin, oldMax := h.varMin, h.varMax
+	old := h.st.Counts
+	oldMin, oldMax := h.st.VarMin, h.st.VarMax
 	oldWidth := (oldMax - oldMin) / float64(h.n)
 	h.setRange(lo, hi)
 	next := h.scratch
 	for i := range next {
 		next[i] = 0
 	}
-	h.counts, h.scratch = next, old
-	if !h.hasRange || oldWidth <= 0 {
+	h.st.Counts, h.scratch = next, old
+	if !h.st.HasRange || oldWidth <= 0 {
 		// All prior mass sits at a single value (oldMin == oldMax).
 		var mass uint32
 		for _, c := range old {
 			mass += c
 		}
 		if mass > 0 {
-			h.counts[h.slotFor(oldMin)] += mass
+			h.st.Counts[h.slotFor(oldMin)] += mass
 		}
 		return
 	}
@@ -153,7 +149,7 @@ func (h *Histogram) rescale(lo, hi float64) {
 			continue
 		}
 		oldCenter := oldMin + (float64(i)+0.5)*oldWidth
-		h.counts[h.slotFor(oldCenter)] += c
+		h.st.Counts[h.slotFor(oldCenter)] += c
 	}
 }
 
@@ -161,10 +157,10 @@ func (h *Histogram) rescale(lo, hi float64) {
 // resets each U_i periodically (e.g. weekly) "to eliminate approximation
 // errors cumulated in the past week".
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
+	for i := range h.st.Counts {
+		h.st.Counts[i] = 0
 	}
-	h.total = 0
+	h.st.Total = 0
 }
 
 // Threshold runs Algorithm 1: it enumerates the N−1 candidate split
@@ -173,7 +169,7 @@ func (h *Histogram) Reset() {
 // returns λ = varMin + j*·Δvar for the split minimising the total. ok is
 // false until the histogram has a usable range.
 func (h *Histogram) Threshold() (lambda float64, ok bool) {
-	if !h.hasRange || h.total < 2 {
+	if !h.st.HasRange || h.st.Total < 2 {
 		return 0, false
 	}
 	width := h.slotWidth()
@@ -182,14 +178,14 @@ func (h *Histogram) Threshold() (lambda float64, ok bool) {
 	for j := 1; j < h.n; j++ {
 		// Cluster centers: unweighted means of slot centers, exactly as
 		// the paper defines cc1 and cc2.
-		cc1 := h.varMin + (float64(j)/2)*width     // mean of centers 1..j
-		cc2 := h.varMin + (float64(j+h.n)/2)*width // mean of centers j+1..N
+		cc1 := h.st.VarMin + (float64(j)/2)*width     // mean of centers 1..j
+		cc2 := h.st.VarMin + (float64(j+h.n)/2)*width // mean of centers j+1..N
 		var sum float64
 		for k := 1; k <= j; k++ {
-			sum += float64(h.counts[k-1]) * math.Abs(h.center(k)-cc1)
+			sum += float64(h.st.Counts[k-1]) * math.Abs(h.center(k)-cc1)
 		}
 		for k := j + 1; k <= h.n; k++ {
-			sum += float64(h.counts[k-1]) * math.Abs(h.center(k)-cc2)
+			sum += float64(h.st.Counts[k-1]) * math.Abs(h.center(k)-cc2)
 		}
 		if sum < bestSum {
 			bestSum = sum
@@ -199,7 +195,7 @@ func (h *Histogram) Threshold() (lambda float64, ok bool) {
 	if bestJ == 0 {
 		return 0, false
 	}
-	return h.varMin + float64(bestJ)*width, true
+	return h.st.VarMin + float64(bestJ)*width, true
 }
 
 // RAMBytes returns the on-mote memory footprint of the histogram: one

@@ -1,12 +1,14 @@
 package adaptive
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// HistogramState is a Histogram's mutable state. The cached slot width is
-// not stored: restore recomputes it from the same (varMin, varMax, n)
-// operands, yielding the same float.
-//
-//bzlint:state ExportState RestoreState
+// HistogramState is a Histogram's mutable state, held inline by the
+// histogram as st. The cached slot width stays outside it: restore
+// recomputes it from the same (VarMin, VarMax, n) operands, yielding the
+// same float.
 type HistogramState struct {
 	VarMin, VarMax float64
 	Counts         []uint32
@@ -16,15 +18,9 @@ type HistogramState struct {
 
 // ExportState captures the histogram contents.
 func (h *Histogram) ExportState() HistogramState {
-	counts := make([]uint32, len(h.counts))
-	copy(counts, h.counts)
-	return HistogramState{
-		VarMin:   h.varMin,
-		VarMax:   h.varMax,
-		Counts:   counts,
-		Total:    h.total,
-		HasRange: h.hasRange,
-	}
+	st := h.st
+	st.Counts = slices.Clone(h.st.Counts)
+	return st
 }
 
 // RestoreState overwrites the histogram contents. The receiver must have
@@ -33,10 +29,9 @@ func (h *Histogram) RestoreState(st HistogramState) error {
 	if len(st.Counts) != h.n {
 		return fmt.Errorf("adaptive: histogram has %d slots, snapshot has %d", h.n, len(st.Counts))
 	}
+	st.Counts = append(h.st.Counts[:0], st.Counts...) // keep the owned backing
+	h.st = st
 	h.setRange(st.VarMin, st.VarMax)
-	copy(h.counts, st.Counts)
-	h.total = st.Total
-	h.hasRange = st.HasRange
 	return nil
 }
 
@@ -44,7 +39,9 @@ func (h *Histogram) RestoreState(st HistogramState) error {
 // (the Figure 12/13 evaluation mode, never used in assembled systems) are
 // not snapshotable: the exact clusterer holds unbounded history.
 //
-//bzlint:state ExportState RestoreState
+// Unlike the other module states, the Scheduler does not hold this value
+// inline: its Hist slot alone would take the per-sample Scheduler from
+// 256 to about 312 bytes, so the fields are copied one by one below.
 type SchedulerState struct {
 	Window      []float64
 	WPos        int

@@ -41,26 +41,7 @@ import (
 type watchdog struct {
 	s      *System
 	staleS float64
-
-	// Last-fresh timestamps (simulated seconds since start) and last
-	// values per consumed input. Construction counts as time 0 freshness:
-	// every sensor broadcasts within its first adaptive period, far
-	// inside any sane staleness budget.
-	tempAtS   [thermal.NumZones]float64
-	tempVal   [thermal.NumZones]float64
-	rhAtS     [thermal.NumZones]float64
-	panelAtS  [radiant.NumPanels]float64
-	boxAtS    [vent.NumBoxes]float64
-	supplyAtS float64
-
-	// Current degraded flags, kept to act only on transitions.
-	tempSub   [thermal.NumZones]bool
-	frozen    bool
-	safeMode  [radiant.NumPanels]bool
-	boxStale  [vent.NumBoxes]bool
-	supplyOld bool
-
-	transitions int
+	st     WatchdogState
 }
 
 func newWatchdog(s *System) *watchdog {
@@ -75,30 +56,30 @@ func (w *watchdog) nowS() float64 {
 
 func (w *watchdog) noteZoneTemp(zone int, v float64) {
 	if zone >= 0 && zone < thermal.NumZones {
-		w.tempAtS[zone] = w.nowS()
-		w.tempVal[zone] = v
+		w.st.TempAtS[zone] = w.nowS()
+		w.st.TempVal[zone] = v
 	}
 }
 
 func (w *watchdog) noteZoneRH(zone int) {
 	if zone >= 0 && zone < thermal.NumZones {
-		w.rhAtS[zone] = w.nowS()
+		w.st.RHAtS[zone] = w.nowS()
 	}
 }
 
 func (w *watchdog) notePanelDew(panel int) {
 	if panel >= 0 && panel < radiant.NumPanels {
-		w.panelAtS[panel] = w.nowS()
+		w.st.PanelAtS[panel] = w.nowS()
 	}
 }
 
 func (w *watchdog) noteBoxDew(box int) {
 	if box >= 0 && box < vent.NumBoxes {
-		w.boxAtS[box] = w.nowS()
+		w.st.BoxAtS[box] = w.nowS()
 	}
 }
 
-func (w *watchdog) noteSupplyTemp() { w.supplyAtS = w.nowS() }
+func (w *watchdog) noteSupplyTemp() { w.st.SupplyAtS = w.nowS() }
 
 // step runs once per tick, after the network delivery and before the
 // control modules, so a degradation decision is made on this tick's
@@ -112,13 +93,13 @@ func (w *watchdog) step(env *sim.Env) {
 	// Zone temperatures: neighbour fallback, then all-stale freeze.
 	staleTemps := 0
 	for z := 0; z < thermal.NumZones; z++ {
-		stale := now-w.tempAtS[z] > w.staleS
+		stale := now-w.st.TempAtS[z] > w.staleS
 		if stale {
 			staleTemps++
 		}
-		if stale != w.tempSub[z] {
-			w.tempSub[z] = stale
-			w.transitions++
+		if stale != w.st.TempSub[z] {
+			w.st.TempSub[z] = stale
+			w.st.Transitions++
 		}
 		if !stale {
 			continue
@@ -127,21 +108,21 @@ func (w *watchdog) step(env *sim.Env) {
 		// substitution source is deterministic.
 		best, bestAt := -1, math.Inf(-1)
 		for o := 0; o < thermal.NumZones; o++ {
-			if o == z || now-w.tempAtS[o] > w.staleS {
+			if o == z || now-w.st.TempAtS[o] > w.staleS {
 				continue
 			}
-			if w.tempAtS[o] > bestAt {
-				best, bestAt = o, w.tempAtS[o]
+			if w.st.TempAtS[o] > bestAt {
+				best, bestAt = o, w.st.TempAtS[o]
 			}
 		}
 		if best >= 0 {
-			w.s.radiantMod.ObserveZoneTemp(z, w.tempVal[best])
-			w.s.ventMod.ObserveZoneTemp(z, w.tempVal[best])
+			w.s.radiantMod.ObserveZoneTemp(z, w.st.TempVal[best])
+			w.s.ventMod.ObserveZoneTemp(z, w.st.TempVal[best])
 		}
 	}
-	if frozen := staleTemps == thermal.NumZones; frozen != w.frozen {
-		w.frozen = frozen
-		w.transitions++
+	if frozen := staleTemps == thermal.NumZones; frozen != w.st.Frozen {
+		w.st.Frozen = frozen
+		w.st.Transitions++
 		w.s.radiantMod.SetIntegratorsFrozen(frozen)
 	}
 
@@ -149,26 +130,26 @@ func (w *watchdog) step(env *sim.Env) {
 	// humidity channels it fuses with, going dark puts it in safe mode.
 	for p := 0; p < radiant.NumPanels; p++ {
 		zs := radiant.PanelZones(p)
-		rhDark := now-w.rhAtS[zs[0]] > w.staleS && now-w.rhAtS[zs[1]] > w.staleS
-		unsafe := now-w.panelAtS[p] > w.staleS || rhDark
-		if unsafe != w.safeMode[p] {
-			w.safeMode[p] = unsafe
-			w.transitions++
+		rhDark := now-w.st.RHAtS[zs[0]] > w.staleS && now-w.st.RHAtS[zs[1]] > w.staleS
+		unsafe := now-w.st.PanelAtS[p] > w.staleS || rhDark
+		if unsafe != w.st.SafeMode[p] {
+			w.st.SafeMode[p] = unsafe
+			w.st.Transitions++
 			w.s.radiantMod.SetSafeMode(p, unsafe)
 		}
 	}
 
 	// Airbox dew: fall back to the coil model's outlet state.
 	for b := 0; b < vent.NumBoxes; b++ {
-		stale := now-w.boxAtS[b] > w.staleS
-		if stale != w.boxStale[b] {
-			w.boxStale[b] = stale
-			w.transitions++
+		stale := now-w.st.BoxAtS[b] > w.staleS
+		if stale != w.st.BoxStale[b] {
+			w.st.BoxStale[b] = stale
+			w.st.Transitions++
 			w.s.ventMod.SetBoxDewUntrusted(b, stale)
 		}
 	}
 
-	w.supplyOld = now-w.supplyAtS > w.staleS
+	w.st.SupplyOld = now-w.st.SupplyAtS > w.staleS
 }
 
 // DegradationState is a snapshot of the watchdog's current decisions.
@@ -198,11 +179,11 @@ func (s *System) Degradation() DegradationState {
 	}
 	return DegradationState{
 		Armed:             true,
-		TempSubstituted:   w.tempSub,
-		IntegratorsFrozen: w.frozen,
-		SafeMode:          w.safeMode,
-		BoxDewUntrusted:   w.boxStale,
-		SupplyStale:       w.supplyOld,
-		Transitions:       w.transitions,
+		TempSubstituted:   w.st.TempSub,
+		IntegratorsFrozen: w.st.Frozen,
+		SafeMode:          w.st.SafeMode,
+		BoxDewUntrusted:   w.st.BoxStale,
+		SupplyStale:       w.st.SupplyOld,
+		Transitions:       w.st.Transitions,
 	}
 }

@@ -109,7 +109,7 @@ const (
 // Battery tracks the charge of a battery-powered mote.
 type Battery struct {
 	capacityJ float64
-	usedJ     float64
+	st        BatteryState
 }
 
 // NewBattery returns a battery with the given capacity in joules.
@@ -134,9 +134,9 @@ func (b *Battery) Drain(j float64) {
 	if j <= 0 {
 		return
 	}
-	b.usedJ += j
-	if b.usedJ > b.capacityJ {
-		b.usedJ = b.capacityJ
+	b.st.UsedJ += j
+	if b.st.UsedJ > b.capacityJ {
+		b.st.UsedJ = b.capacityJ
 	}
 }
 
@@ -151,17 +151,17 @@ func (b *Battery) ScaleRemaining(frac float64) {
 	} else if frac > 1 {
 		frac = 1
 	}
-	b.usedJ = b.capacityJ - b.RemainingJ()*frac
+	b.st.UsedJ = b.capacityJ - b.RemainingJ()*frac
 }
 
 // UsedJ returns the consumed energy.
-func (b *Battery) UsedJ() float64 { return b.usedJ }
+func (b *Battery) UsedJ() float64 { return b.st.UsedJ }
 
 // RemainingJ returns the remaining energy.
-func (b *Battery) RemainingJ() float64 { return b.capacityJ - b.usedJ }
+func (b *Battery) RemainingJ() float64 { return b.capacityJ - b.st.UsedJ }
 
 // Depleted reports whether the battery is empty.
-func (b *Battery) Depleted() bool { return b.usedJ >= b.capacityJ }
+func (b *Battery) Depleted() bool { return b.st.UsedJ >= b.capacityJ }
 
 // FractionRemaining returns the remaining charge fraction in [0, 1].
 func (b *Battery) FractionRemaining() float64 {

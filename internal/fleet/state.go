@@ -17,8 +17,6 @@ import (
 // state. Climate and door events mutate component state directly, so
 // their effect travels inside the building snapshots and they are never
 // replayed.
-//
-//bzlint:state ExportState RestoreState
 type State struct {
 	Ticks     uint64
 	Journal   []AppliedEvent

@@ -39,14 +39,7 @@ type Pump struct {
 	// StandbyW is drawn whenever the pump is powered, even at 0 V.
 	StandbyW float64
 
-	voltage float64
-
-	// derate scales the delivered flow during a pump-degradation fault
-	// (worn impeller, partial clog), valid only while derated is set. The
-	// electrical draw still follows the commanded voltage — a degraded
-	// pump wastes energy.
-	derate  float64
-	derated bool
+	st PumpState
 }
 
 // Validate checks the pump parameters.
@@ -67,7 +60,7 @@ func (p *Pump) SetVoltage(v float64) {
 	} else if v > 5 {
 		v = 5
 	}
-	p.voltage = v
+	p.st.Voltage = v
 }
 
 // SetFlow commands the pump by target flow (L/min), converting to the
@@ -83,38 +76,38 @@ func (p *Pump) SetFlow(lpm float64) {
 func (p *Pump) SetDerate(frac float64) {
 	if frac >= 1 {
 		// Healthy again: keep the fault-free FlowLpm path untouched.
-		p.derate, p.derated = 0, false
+		p.st.Derate, p.st.Derated = 0, false
 		return
 	}
 	if frac < 0 {
 		frac = 0
 	}
-	p.derate, p.derated = frac, true
+	p.st.Derate, p.st.Derated = frac, true
 }
 
 // Derate returns the delivered-flow fraction (1 when healthy).
 func (p *Pump) Derate() float64 {
-	if !p.derated {
+	if !p.st.Derated {
 		return 1
 	}
-	return p.derate
+	return p.st.Derate
 }
 
 // Voltage returns the current command voltage.
-func (p *Pump) Voltage() float64 { return p.voltage }
+func (p *Pump) Voltage() float64 { return p.st.Voltage }
 
 // FlowLpm returns the delivered flow in litres/minute.
 func (p *Pump) FlowLpm() float64 {
-	f := p.voltage / 5 * p.MaxFlowLpm
-	if p.derated {
-		f *= p.derate
+	f := p.st.Voltage / 5 * p.MaxFlowLpm
+	if p.st.Derated {
+		f *= p.st.Derate
 	}
 	return f
 }
 
 // PowerW returns the current electrical draw.
 func (p *Pump) PowerW() float64 {
-	frac := p.voltage / 5
+	frac := p.st.Voltage / 5
 	return p.StandbyW + p.MaxPowerW*frac*frac*frac
 }
 
@@ -136,17 +129,7 @@ type Tank struct {
 	// LossUA models heat gain from the room to the tank in W/K.
 	LossUA float64
 
-	// tripped holds the chiller off during a trip fault: the tank keeps
-	// absorbing loop returns and standing losses, so its temperature
-	// free-rises until the trip clears.
-	tripped bool
-
-	temp         float64
-	loadW        float64 // heat returned by loops this step
-	thermalW     float64 // chiller thermal power last step
-	elecW        float64 // chiller electrical power last step
-	elecEnergyJ  float64 // integrated electrical energy
-	thermEnergyJ float64 // integrated thermal (removed-heat) energy
+	st TankState
 }
 
 // NewTank returns a tank initialised at its setpoint.
@@ -166,67 +149,67 @@ func NewTank(volumeL, setpoint float64, chiller exergy.Chiller, capacityW float6
 		Chiller:   chiller,
 		CapacityW: capacityW,
 		LossUA:    2,
-		temp:      setpoint,
+		st:        TankState{Temp: setpoint},
 	}, nil
 }
 
 // SetChillerTripped trips (on) or restores (off) the chiller. While
 // tripped it moves no heat and draws no power; the tank warms under its
 // load and recovers under the proportional band after restoration.
-func (t *Tank) SetChillerTripped(on bool) { t.tripped = on }
+func (t *Tank) SetChillerTripped(on bool) { t.st.Tripped = on }
 
 // ChillerTripped reports whether the chiller is currently tripped.
-func (t *Tank) ChillerTripped() bool { return t.tripped }
+func (t *Tank) ChillerTripped() bool { return t.st.Tripped }
 
 // Temp returns the current tank water temperature (°C) — the paper's
 // T_supp for loops drawing from this tank.
-func (t *Tank) Temp() float64 { return t.temp }
+func (t *Tank) Temp() float64 { return t.st.Temp }
 
 // ReturnWater reports flowLpm of water coming back into the tank at tRet
 // °C during the current step. Call once per loop per step, before Step.
 func (t *Tank) ReturnWater(flowLpm, tRet float64) {
-	t.loadW += HeatFlow(flowLpm, t.temp, tRet)
+	t.st.LoadW += HeatFlow(flowLpm, t.st.Temp, tRet)
 }
 
 // Step advances the tank by dt seconds with ambient temperatures for
 // standing losses (room side) and heat rejection (outdoor side).
 func (t *Tank) Step(dt, tRoom, tOutdoor float64) {
 	mass := t.VolumeL // 1 kg/L
-	gain := t.loadW + t.LossUA*(tRoom-t.temp)
-	t.loadW = 0
+	gain := t.st.LoadW + t.LossUA*(tRoom-t.st.Temp)
+	t.st.LoadW = 0
 
 	// Chiller: proportional band of 0.5 K around the setpoint, capped at
 	// capacity. This keeps the tank within a fraction of a degree of the
 	// setpoint under any credible load without hysteretic chatter.
-	excess := t.temp - t.Setpoint
+	excess := t.st.Temp - t.Setpoint
 	demand := gain + excess/0.5*t.CapacityW
 	if demand < 0 {
 		demand = 0
 	} else if demand > t.CapacityW {
 		demand = t.CapacityW
 	}
-	if t.tripped {
+	if t.st.Tripped {
 		demand = 0
 	}
-	t.thermalW = demand
-	t.elecW = t.Chiller.Power(demand, t.Setpoint, tOutdoor)
+	t.st.ThermalW = demand
+	t.st.ElecW = t.Chiller.Power(demand, t.Setpoint, tOutdoor)
 
-	t.temp += (gain - demand) / (mass * CwWater) * dt
-	t.elecEnergyJ += t.elecW * dt
-	t.thermEnergyJ += t.thermalW * dt
+	t.st.Temp += (gain - demand) / (mass * CwWater) * dt
+	t.st.ElecEnergyJ += t.st.ElecW * dt
+	t.st.ThermEnergyJ += t.st.ThermalW * dt
 }
 
 // ChillerElectricalW returns the chiller electrical draw from the last step.
-func (t *Tank) ChillerElectricalW() float64 { return t.elecW }
+func (t *Tank) ChillerElectricalW() float64 { return t.st.ElecW }
 
 // ChillerThermalW returns the chiller thermal power from the last step.
-func (t *Tank) ChillerThermalW() float64 { return t.thermalW }
+func (t *Tank) ChillerThermalW() float64 { return t.st.ThermalW }
 
 // ElectricalEnergyJ returns the integrated chiller electrical energy.
-func (t *Tank) ElectricalEnergyJ() float64 { return t.elecEnergyJ }
+func (t *Tank) ElectricalEnergyJ() float64 { return t.st.ElecEnergyJ }
 
 // ThermalEnergyJ returns the integrated removed-heat energy.
-func (t *Tank) ThermalEnergyJ() float64 { return t.thermEnergyJ }
+func (t *Tank) ThermalEnergyJ() float64 { return t.st.ThermEnergyJ }
 
 // Panel is a ceiling radiant panel fed by mixed water: an
 // effectiveness-NTU heat exchanger between the panel water stream and the
@@ -296,17 +279,9 @@ type MixingLoop struct {
 	Panel   Panel
 
 	tank *Tank
-	tRet float64 // water temperature in the return pipe (state)
 
-	fMix, tMix float64
-	last       PanelResult
-
-	// surf is the lagged panel surface temperature: the metal panel has
-	// thermal mass, so its surface relaxes toward the instantaneous
-	// heat-exchange solution with time constant surfTauS rather than
-	// jumping. NaN until the first step.
-	surf     float64
-	surfTauS float64
+	st       MixingLoopState // Supply/Recycle slots unused: see the type
+	surfTauS float64         // surface time constant (MixingLoopState.Surf)
 
 	// epsFlow/epsUA key the cached mdotCp and effectiveness: both depend
 	// only on the mixed flow and the panel conductance, and the PID holds
@@ -340,8 +315,7 @@ func NewMixingLoop(tank *Tank, supply, recycle *Pump, panel Panel) (*MixingLoop,
 		Recycle:  recycle,
 		Panel:    panel,
 		tank:     tank,
-		tRet:     tank.Temp(),
-		surf:     math.NaN(),
+		st:       MixingLoopState{TRet: tank.Temp(), Surf: math.NaN()},
 		surfTauS: defaultSurfTauS,
 		epsFlow:  math.NaN(),
 	}, nil
@@ -353,56 +327,56 @@ func NewMixingLoop(tank *Tank, supply, recycle *Pump, panel Panel) (*MixingLoop,
 func (l *MixingLoop) Step(tAir, dt float64) {
 	fSupp := l.Supply.FlowLpm()
 	fRcyc := l.Recycle.FlowLpm()
-	l.fMix = fSupp + fRcyc
+	l.st.FMix = fSupp + fRcyc
 	tSupp := l.tank.Temp()
-	if l.fMix <= 0 {
-		l.tMix = tSupp
-		l.last = l.Panel.Exchange(0, tSupp, tAir)
+	if l.st.FMix <= 0 {
+		l.st.TMix = tSupp
+		l.st.Last = l.Panel.Exchange(0, tSupp, tAir)
 	} else {
-		l.tMix = (fSupp*tSupp + fRcyc*l.tRet) / l.fMix
+		l.st.TMix = (fSupp*tSupp + fRcyc*l.st.TRet) / l.st.FMix
 		//bzlint:allow floateq exact-key memo for the effectiveness term; flows settle onto float fixed points
-		if l.fMix != l.epsFlow || l.Panel.UAWater != l.epsUA {
-			l.epsFlow, l.epsUA = l.fMix, l.Panel.UAWater
-			l.mdotCp = LpmToKgs(l.fMix) * CwWater
+		if l.st.FMix != l.epsFlow || l.Panel.UAWater != l.epsUA {
+			l.epsFlow, l.epsUA = l.st.FMix, l.Panel.UAWater
+			l.mdotCp = LpmToKgs(l.st.FMix) * CwWater
 			l.eps = 1 - math.Exp(-l.Panel.UAWater/l.mdotCp)
 		}
-		l.last = l.Panel.exchangeWith(l.mdotCp, l.eps, l.tMix, tAir)
-		l.tRet = l.last.TReturn
+		l.st.Last = l.Panel.exchangeWith(l.mdotCp, l.eps, l.st.TMix, tAir)
+		l.st.TRet = l.st.Last.TReturn
 		// The supply fraction of the return stream flows back to the tank.
 		if fSupp > 0 {
-			l.tank.ReturnWater(fSupp, l.tRet)
+			l.tank.ReturnWater(fSupp, l.st.TRet)
 		}
 	}
 
 	// Surface thermal lag: the metal panel starts at room temperature and
 	// relaxes toward the instantaneous exchange solution.
-	raw := l.last.TSurface
-	if math.IsNaN(l.surf) {
-		l.surf = tAir
+	raw := l.st.Last.TSurface
+	if math.IsNaN(l.st.Surf) {
+		l.st.Surf = tAir
 	}
 	if l.surfTauS > 0 && dt > 0 {
 		frac := dt / l.surfTauS
 		if frac > 1 {
 			frac = 1
 		}
-		l.surf += (raw - l.surf) * frac
+		l.st.Surf += (raw - l.st.Surf) * frac
 	} else {
-		l.surf = raw
+		l.st.Surf = raw
 	}
-	l.last.TSurface = l.surf
+	l.st.Last.TSurface = l.st.Surf
 }
 
 // FMix returns the mixed flow (L/min) — the paper's F_mix.
-func (l *MixingLoop) FMix() float64 { return l.fMix }
+func (l *MixingLoop) FMix() float64 { return l.st.FMix }
 
 // TMix returns the mixed water temperature (°C) — the paper's T_mix.
-func (l *MixingLoop) TMix() float64 { return l.tMix }
+func (l *MixingLoop) TMix() float64 { return l.st.TMix }
 
 // TReturn returns the return-pipe water temperature (°C) — T_rcyc.
-func (l *MixingLoop) TReturn() float64 { return l.tRet }
+func (l *MixingLoop) TReturn() float64 { return l.st.TRet }
 
 // Result returns the last panel exchange outcome.
-func (l *MixingLoop) Result() PanelResult { return l.last }
+func (l *MixingLoop) Result() PanelResult { return l.st.Last }
 
 // PumpPowerW returns the combined electrical draw of both pumps.
 func (l *MixingLoop) PumpPowerW() float64 {
@@ -421,14 +395,14 @@ func (l *MixingLoop) CommandFlows(tMixTarget, fMixTarget float64) {
 		l.Recycle.SetFlow(0)
 		return
 	}
-	denom := l.tRet - tSupp
+	denom := l.st.TRet - tSupp
 	var fSupp float64
 	switch {
 	case tMixTarget <= tSupp:
 		// Target at or below the tank temperature: pure supply is the
 		// coldest achievable mixture.
 		fSupp = fMixTarget
-	case tMixTarget >= l.tRet:
+	case tMixTarget >= l.st.TRet:
 		// Cannot mix hotter than the return stream: full recirculation
 		// lets the panel warm the loop water toward the target before any
 		// cold supply is admitted (condensation-safe startup).
@@ -436,7 +410,7 @@ func (l *MixingLoop) CommandFlows(tMixTarget, fMixTarget float64) {
 	case denom <= 1e-9:
 		fSupp = fMixTarget
 	default:
-		fSupp = fMixTarget * (l.tRet - tMixTarget) / denom
+		fSupp = fMixTarget * (l.st.TRet - tMixTarget) / denom
 	}
 	if fSupp > fMixTarget {
 		fSupp = fMixTarget

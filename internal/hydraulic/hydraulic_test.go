@@ -343,11 +343,11 @@ func TestMixJunctionBoundsProperty(t *testing.T) {
 		loop, _ := newTestLoop(t)
 		fSupp := float64(fSuppRaw%60)/10 + 0.1
 		fRcyc := float64(fRcycRaw%60) / 10
-		loop.tRet = 18 + float64(tRetRaw%100)/10 // 18 … 28
+		loop.st.TRet = 18 + float64(tRetRaw%100)/10 // 18 … 28
 		loop.Supply.SetFlow(fSupp)
 		loop.Recycle.SetFlow(fRcyc)
 		fS, fR := loop.Supply.FlowLpm(), loop.Recycle.FlowLpm()
-		wantT := (fS*18 + fR*loop.tRet) / (fS + fR)
+		wantT := (fS*18 + fR*loop.st.TRet) / (fS + fR)
 		loop.Step(30, 1)
 		return math.Abs(loop.TMix()-wantT) < 1e-9 &&
 			loop.TMix() >= 18-1e-9 && loop.TMix() <= 28+1e-9
@@ -361,7 +361,7 @@ func TestMixJunctionBoundsProperty(t *testing.T) {
 func TestCommandFlowsSaneProperty(t *testing.T) {
 	fn := func(tMixRaw, fMixRaw, tRetRaw uint8) bool {
 		loop, _ := newTestLoop(t)
-		loop.tRet = 16 + float64(tRetRaw%140)/10
+		loop.st.TRet = 16 + float64(tRetRaw%140)/10
 		tMix := 14 + float64(tMixRaw%160)/10
 		fMix := float64(fMixRaw%70) / 10
 		loop.CommandFlows(tMix, fMix)

@@ -87,7 +87,6 @@ func (d Diagnostic) String() string {
 //	//bzlint:ordered <reason>              waives a map-range on the same or next line
 //	//bzlint:allow <analyzer> <reason>     waives that analyzer on the same or next line
 //	//bzlint:hotpath                       marks the function below as a hot-path root
-//	//bzlint:state <capture> <restore>     marks the struct below as snapshot state (statecov)
 //	//bzlint:guards <mu> <field,...>       declares mu-guarded fields on the struct below (lockcheck)
 //	//bzlint:holds <mu>                    documents that the function below runs with mu held
 //	//bzlint:mutsetter <route>             marks the function below as a guarded mutation setter
@@ -135,14 +134,13 @@ type pass struct {
 // operand count; -1 means "at least that many" (a trailing free-form
 // reason). ordered/allow/hotpath are handled separately.
 var directiveMinArgs = map[string]int{
-	"state":     2, // capture restore
 	"guards":    2, // mu field,field
 	"holds":     1, // mu
 	"mutsetter": 1, // route
 	"mutroute":  2, // route reason...
 }
 var directiveExactArgs = map[string]bool{
-	"state": true, "guards": true, "holds": true, "mutsetter": true,
+	"guards": true, "holds": true, "mutsetter": true,
 }
 
 // parseDirectives scans a file's comments, indexes waivers by line, and
@@ -185,8 +183,8 @@ func parseDirectives(p *pass, f *ast.File) *fileDirectives {
 				if len(args) != 0 {
 					p.emit(c.Pos(), "bzlint", "//bzlint:hotpath takes no operands", "put the marker on its own doc-comment line")
 				}
-			case "state", "guards", "holds", "mutsetter", "mutroute":
-				// Consumed by the statecov/lockcheck/mutroute analyzers via
+			case "guards", "holds", "mutsetter", "mutroute":
+				// Consumed by the lockcheck/mutroute analyzers via
 				// declaration docs; validated here so a malformed annotation
 				// is a finding, not a silently inert comment.
 				min := directiveMinArgs[verb]
@@ -196,7 +194,7 @@ func parseDirectives(p *pass, f *ast.File) *fileDirectives {
 						directiveUsage(verb))
 				}
 			default:
-				p.emit(c.Pos(), "bzlint", fmt.Sprintf("unknown bzlint directive %q", text), "known directives: ordered, allow, hotpath, state, guards, holds, mutsetter, mutroute")
+				p.emit(c.Pos(), "bzlint", fmt.Sprintf("unknown bzlint directive %q", text), "known directives: ordered, allow, hotpath, guards, holds, mutsetter, mutroute")
 			}
 		}
 	}
@@ -205,8 +203,6 @@ func parseDirectives(p *pass, f *ast.File) *fileDirectives {
 
 func directiveUsage(verb string) string {
 	switch verb {
-	case "state":
-		return "write //bzlint:state <captureFunc> <restoreFunc>"
 	case "guards":
 		return "write //bzlint:guards <mutexField> <field,field,...>"
 	case "holds":
@@ -335,7 +331,6 @@ func Run(fset *token.FileSet, pkgs []*Package, cfg Config) []Diagnostic {
 	}
 	runHotpath(pkgs, passes)
 	runDeprecated(pkgs, passes)
-	runStatecov(pkgs, passes)
 	runLockcheck(pkgs, passes)
 	runMutroute(pkgs, passes)
 	if cfg.StaleAllow {

@@ -133,10 +133,6 @@ func TestDeprecatedGolden(t *testing.T) {
 	checkGolden(t, "oldapi", runFixture(t, "oldapi"))
 }
 
-func TestStatecovGolden(t *testing.T) {
-	checkGolden(t, "statecov", runFixture(t, "statecov"))
-}
-
 func TestLockcheckGolden(t *testing.T) {
 	checkGolden(t, "lockcheck", runFixture(t, "lockcheck"))
 }

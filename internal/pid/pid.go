@@ -43,13 +43,7 @@ func (c Config) Validate() error {
 // value is not usable.
 type Controller struct {
 	cfg Config
-
-	setpoint float64
-	integral float64
-	prevMeas float64
-	hasPrev  bool
-	frozen   bool
-	lastOut  float64
+	st  State
 }
 
 // New returns a controller for the given configuration.
@@ -57,7 +51,7 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, lastOut: cfg.OutMin}, nil
+	return &Controller{cfg: cfg, st: State{LastOut: cfg.OutMin}}, nil
 }
 
 // Must is New that panics on error, for compile-time-constant configs.
@@ -70,14 +64,14 @@ func Must(cfg Config) *Controller {
 }
 
 // SetSetpoint updates the control target.
-func (c *Controller) SetSetpoint(sp float64) { c.setpoint = sp }
+func (c *Controller) SetSetpoint(sp float64) { c.st.Setpoint = sp }
 
 // Setpoint returns the current control target.
-func (c *Controller) Setpoint() float64 { return c.setpoint }
+func (c *Controller) Setpoint() float64 { return c.st.Setpoint }
 
 // Output returns the most recently computed output without advancing the
 // controller.
-func (c *Controller) Output() float64 { return c.lastOut }
+func (c *Controller) Output() float64 { return c.st.LastOut }
 
 // SetIntegratorFrozen holds the integral state constant across Update
 // calls while on. Degradation logic freezes the integrator when the
@@ -85,17 +79,17 @@ func (c *Controller) Output() float64 { return c.lastOut }
 // carries a persistent error that would otherwise wind the integrator
 // toward an actuator extreme the real process never asked for. P and D
 // action remain live so control resumes cleanly when the input returns.
-func (c *Controller) SetIntegratorFrozen(on bool) { c.frozen = on }
+func (c *Controller) SetIntegratorFrozen(on bool) { c.st.Frozen = on }
 
 // IntegratorFrozen reports whether the integrator is currently held.
-func (c *Controller) IntegratorFrozen() bool { return c.frozen }
+func (c *Controller) IntegratorFrozen() bool { return c.st.Frozen }
 
 // Reset clears the integrator and derivative history, e.g. after a long
 // actuator outage.
 func (c *Controller) Reset() {
-	c.integral = 0
-	c.hasPrev = false
-	c.lastOut = c.cfg.OutMin
+	c.st.Integral = 0
+	c.st.HasPrev = false
+	c.st.LastOut = c.cfg.OutMin
 }
 
 // Update advances the controller by dt seconds given the latest process
@@ -103,9 +97,9 @@ func (c *Controller) Reset() {
 // positive; non-positive dt returns the previous output unchanged.
 func (c *Controller) Update(measurement, dt float64) float64 {
 	if dt <= 0 || math.IsNaN(measurement) {
-		return c.lastOut
+		return c.st.LastOut
 	}
-	errv := c.setpoint - measurement
+	errv := c.st.Setpoint - measurement
 	if c.cfg.Reverse {
 		errv = -errv
 	}
@@ -115,23 +109,23 @@ func (c *Controller) Update(measurement, dt float64) float64 {
 	// Derivative on measurement: -Kd * d(meas)/dt (sign folded into errv
 	// convention via Reverse).
 	var d float64
-	if c.hasPrev && c.cfg.Kd > 0 {
-		dMeas := (measurement - c.prevMeas) / dt
+	if c.st.HasPrev && c.cfg.Kd > 0 {
+		dMeas := (measurement - c.st.PrevMeas) / dt
 		if c.cfg.Reverse {
 			d = c.cfg.Kd * dMeas
 		} else {
 			d = -c.cfg.Kd * dMeas
 		}
 	}
-	c.prevMeas = measurement
-	c.hasPrev = true
+	c.st.PrevMeas = measurement
+	c.st.HasPrev = true
 
 	// Tentative integral advance with conditional anti-windup: only
 	// integrate if the unsaturated output is inside limits, or the error
 	// drives the output back toward the valid range. An externally frozen
 	// integrator (stale input) skips the advance entirely.
-	if !c.frozen {
-		tentative := c.integral + c.cfg.Ki*errv*dt
+	if !c.st.Frozen {
+		tentative := c.st.Integral + c.cfg.Ki*errv*dt
 		unsat := p + tentative + d
 		switch {
 		case unsat > c.cfg.OutMax && errv > 0:
@@ -139,16 +133,16 @@ func (c *Controller) Update(measurement, dt float64) float64 {
 		case unsat < c.cfg.OutMin && errv < 0:
 			// would deepen low saturation: freeze integrator
 		default:
-			c.integral = tentative
+			c.st.Integral = tentative
 		}
 	}
 
-	out := p + c.integral + d
+	out := p + c.st.Integral + d
 	if out > c.cfg.OutMax {
 		out = c.cfg.OutMax
 	} else if out < c.cfg.OutMin {
 		out = c.cfg.OutMin
 	}
-	c.lastOut = out
+	c.st.LastOut = out
 	return out
 }

@@ -1,10 +1,9 @@
 package pid
 
-// State is a Controller's mutable state, exported for digital-twin
-// snapshots. The configuration is not part of the state: restore targets a
-// controller rebuilt from the same config.
-//
-//bzlint:state ExportState RestoreState
+// State is a Controller's mutable state, held inline by the controller
+// and exported as-is for digital-twin snapshots. The configuration is not
+// part of the state: restore targets a controller rebuilt from the same
+// config.
 type State struct {
 	Setpoint float64
 	Integral float64
@@ -15,23 +14,7 @@ type State struct {
 }
 
 // ExportState captures the controller's mutable state.
-func (c *Controller) ExportState() State {
-	return State{
-		Setpoint: c.setpoint,
-		Integral: c.integral,
-		PrevMeas: c.prevMeas,
-		HasPrev:  c.hasPrev,
-		Frozen:   c.frozen,
-		LastOut:  c.lastOut,
-	}
-}
+func (c *Controller) ExportState() State { return c.st }
 
 // RestoreState overwrites the controller's mutable state.
-func (c *Controller) RestoreState(st State) {
-	c.setpoint = st.Setpoint
-	c.integral = st.Integral
-	c.prevMeas = st.PrevMeas
-	c.hasPrev = st.HasPrev
-	c.frozen = st.Frozen
-	c.lastOut = st.LastOut
-}
+func (c *Controller) RestoreState(st State) { c.st = st }

@@ -94,20 +94,11 @@ type Module struct {
 	loops [NumPanels]*hydraulic.MixingLoop
 	pids  [NumPanels]*pid.Controller
 
-	// Latest observations; NaN until first data arrives.
-	panelDew [NumPanels]float64
-	zoneTemp [4]float64
-
 	// panelAir returns the current air temperature under each panel; set
 	// by the core system (panel 0 spans subspaces 1–2, panel 1 spans 3–4).
 	panelAir func(panel int) float64
 
-	tMixTarget [NumPanels]float64
-	fMixTarget [NumPanels]float64
-
-	// safeMode panels target dew + DewMargin + SafeModeRaiseK (set by the
-	// degradation watchdog while the panel's humidity inputs are stale).
-	safeMode [NumPanels]bool
+	st ModuleState // PIDs/Loops slots unused: see the type
 }
 
 var _ sim.Component = (*Module)(nil)
@@ -126,6 +117,7 @@ func New(cfg Config, tank *hydraulic.Tank, loops [NumPanels]*hydraulic.MixingLoo
 		return nil, fmt.Errorf("radiant: panelAir must not be nil")
 	}
 	m := &Module{cfg: cfg, tank: tank, loops: loops, panelAir: panelAir}
+	m.st.TPref = cfg.TPref
 	for i := range m.pids {
 		if loops[i] == nil {
 			return nil, fmt.Errorf("radiant: loop %d must not be nil", i)
@@ -137,11 +129,11 @@ func New(cfg Config, tank *hydraulic.Tank, loops [NumPanels]*hydraulic.MixingLoo
 		ctrl.SetSetpoint(cfg.TPref)
 		m.pids[i] = ctrl
 	}
-	for i := range m.panelDew {
-		m.panelDew[i] = math.NaN()
+	for i := range m.st.PanelDew {
+		m.st.PanelDew[i] = math.NaN()
 	}
-	for i := range m.zoneTemp {
-		m.zoneTemp[i] = math.NaN()
+	for i := range m.st.ZoneTemp {
+		m.st.ZoneTemp[i] = math.NaN()
 	}
 	return m, nil
 }
@@ -151,27 +143,27 @@ func (m *Module) Name() string { return "radiant.module" }
 
 // SetTPref changes the occupant temperature setpoint.
 func (m *Module) SetTPref(t float64) {
-	m.cfg.TPref = t
+	m.st.TPref = t
 	for _, c := range m.pids {
 		c.SetSetpoint(t)
 	}
 }
 
 // TPref returns the current temperature setpoint.
-func (m *Module) TPref() float64 { return m.cfg.TPref }
+func (m *Module) TPref() float64 { return m.st.TPref }
 
 // SetSafeMode switches a panel's condensation safe mode: while on, the
 // mixed-water target carries SafeModeRaiseK of extra margin above the
 // (possibly stale) dew estimate. Out-of-range panels are ignored.
 func (m *Module) SetSafeMode(panel int, on bool) {
 	if panel >= 0 && panel < NumPanels {
-		m.safeMode[panel] = on
+		m.st.SafeMode[panel] = on
 	}
 }
 
 // SafeMode reports whether a panel is in condensation safe mode.
 func (m *Module) SafeMode(panel int) bool {
-	return panel >= 0 && panel < NumPanels && m.safeMode[panel]
+	return panel >= 0 && panel < NumPanels && m.st.SafeMode[panel]
 }
 
 // SetIntegratorsFrozen freezes or thaws the F_mix PID integrators of
@@ -198,15 +190,15 @@ func (m *Module) DeratePumps(frac float64) {
 // humidity sensors.
 func (m *Module) ObservePanelDew(panel int, dew float64) {
 	if panel >= 0 && panel < NumPanels && !math.IsNaN(dew) {
-		m.panelDew[panel] = dew
+		m.st.PanelDew[panel] = dew
 	}
 }
 
 // ObserveZoneTemp feeds a room temperature reading (°C) for a subspace;
 // the module averages the per-zone values into T_room.
 func (m *Module) ObserveZoneTemp(zone int, t float64) {
-	if zone >= 0 && zone < len(m.zoneTemp) && !math.IsNaN(t) {
-		m.zoneTemp[zone] = t
+	if zone >= 0 && zone < len(m.st.ZoneTemp) && !math.IsNaN(t) {
+		m.st.ZoneTemp[zone] = t
 	}
 }
 
@@ -215,7 +207,7 @@ func (m *Module) ObserveZoneTemp(zone int, t float64) {
 func (m *Module) RoomTemp() float64 {
 	var sum float64
 	n := 0
-	for _, t := range m.zoneTemp {
+	for _, t := range m.st.ZoneTemp {
 		if !math.IsNaN(t) {
 			sum += t
 			n++
@@ -233,7 +225,7 @@ func (m *Module) TMixTarget(panel int) float64 {
 	if panel < 0 || panel >= NumPanels {
 		return math.NaN()
 	}
-	return m.tMixTarget[panel]
+	return m.st.TMixTarget[panel]
 }
 
 // FMixTarget returns the current mixed-flow target for a panel (F_t_mix).
@@ -241,7 +233,7 @@ func (m *Module) FMixTarget(panel int) float64 {
 	if panel < 0 || panel >= NumPanels {
 		return math.NaN()
 	}
-	return m.fMixTarget[panel]
+	return m.st.FMixTarget[panel]
 }
 
 // Loop exposes a panel's hydraulic loop for instrumentation.
@@ -276,36 +268,36 @@ func (m *Module) Step(env *sim.Env) {
 		// return water to lift the mixture to the threshold. Before the
 		// first dew observation the module holds the loop at the air
 		// temperature (no cooling) — the condensation-safe default.
-		dew := m.panelDew[p]
+		dew := m.st.PanelDew[p]
 		if math.IsNaN(dew) && !m.cfg.IgnoreDewGuard {
-			m.tMixTarget[p] = m.panelAir(p)
-			m.fMixTarget[p] = 0
-			m.loops[p].CommandFlows(m.tMixTarget[p], 0)
+			m.st.TMixTarget[p] = m.panelAir(p)
+			m.st.FMixTarget[p] = 0
+			m.loops[p].CommandFlows(m.st.TMixTarget[p], 0)
 			m.loops[p].Step(m.panelAir(p), dt)
 			continue
 		}
 		if m.cfg.IgnoreDewGuard {
-			m.tMixTarget[p] = tSupp
+			m.st.TMixTarget[p] = tSupp
 		} else {
 			margin := m.cfg.DewMargin
-			if m.safeMode[p] {
+			if m.st.SafeMode[p] {
 				margin += m.cfg.SafeModeRaiseK
 			}
-			m.tMixTarget[p] = math.Max(tSupp, dew+margin)
+			m.st.TMixTarget[p] = math.Max(tSupp, dew+margin)
 		}
 
 		// F_t_mix from the PID on ΔT = T_room − T_pref. Without a room
 		// reading yet the flow stays off.
 		if math.IsNaN(troom) {
-			m.fMixTarget[p] = 0
+			m.st.FMixTarget[p] = 0
 		} else {
-			m.fMixTarget[p] = m.pids[p].Update(troom, dt)
-			if m.fMixTarget[p] > m.cfg.FMixMax {
-				m.fMixTarget[p] = m.cfg.FMixMax
+			m.st.FMixTarget[p] = m.pids[p].Update(troom, dt)
+			if m.st.FMixTarget[p] > m.cfg.FMixMax {
+				m.st.FMixTarget[p] = m.cfg.FMixMax
 			}
 		}
 
-		m.loops[p].CommandFlows(m.tMixTarget[p], m.fMixTarget[p])
+		m.loops[p].CommandFlows(m.st.TMixTarget[p], m.st.FMixTarget[p])
 		m.loops[p].Step(m.panelAir(p), dt)
 	}
 }

@@ -7,17 +7,20 @@ import (
 
 // ModuleState is the radiant module's full mutable state, loops and PIDs
 // included. TPref travels because SetTPref mutates it at runtime; each
-// PID state carries its own setpoint.
-//
-//bzlint:state ExportState RestoreState
+// PID state carries its own setpoint. In the module's own copy the PIDs
+// and Loops slots stay unused — the controllers and loops hold their
+// state — and ExportState fills them.
 type ModuleState struct {
 	TPref float64
 
-	PanelDew   [NumPanels]float64 // NaN until first observation
+	// Latest observations; NaN until first data arrives.
+	PanelDew   [NumPanels]float64
 	ZoneTemp   [4]float64
 	TMixTarget [NumPanels]float64
 	FMixTarget [NumPanels]float64
-	SafeMode   [NumPanels]bool
+	// SafeMode panels target dew + DewMargin + SafeModeRaiseK (set by the
+	// degradation watchdog while the panel's humidity inputs are stale).
+	SafeMode [NumPanels]bool
 
 	PIDs  [NumPanels]pid.State
 	Loops [NumPanels]hydraulic.MixingLoopState
@@ -25,14 +28,7 @@ type ModuleState struct {
 
 // ExportState captures the module's mutable state.
 func (m *Module) ExportState() ModuleState {
-	st := ModuleState{
-		TPref:      m.cfg.TPref,
-		PanelDew:   m.panelDew,
-		ZoneTemp:   m.zoneTemp,
-		TMixTarget: m.tMixTarget,
-		FMixTarget: m.fMixTarget,
-		SafeMode:   m.safeMode,
-	}
+	st := m.st
 	for i := range m.pids {
 		st.PIDs[i] = m.pids[i].ExportState()
 		st.Loops[i] = m.loops[i].ExportState()
@@ -42,14 +38,9 @@ func (m *Module) ExportState() ModuleState {
 
 // RestoreState overwrites the module's mutable state.
 func (m *Module) RestoreState(st ModuleState) {
-	m.cfg.TPref = st.TPref
-	m.panelDew = st.PanelDew
-	m.zoneTemp = st.ZoneTemp
-	m.tMixTarget = st.TMixTarget
-	m.fMixTarget = st.FMixTarget
-	m.safeMode = st.SafeMode
 	for i := range m.pids {
 		m.pids[i].RestoreState(st.PIDs[i])
 		m.loops[i].RestoreState(st.Loops[i])
 	}
+	m.st = st
 }

@@ -23,8 +23,6 @@ import (
 
 // StreamState is the captured position of one named RNG stream, in
 // creation order.
-//
-//bzlint:state exportStreams restoreStreams
 type StreamState struct {
 	Name string
 	// PCG is the rand.PCG marshaled state (the full generator state; the
@@ -34,8 +32,6 @@ type StreamState struct {
 
 // EntrySched is the captured scheduling state of one registered component,
 // in registration order.
-//
-//bzlint:state ExportState RestoreState
 type EntrySched struct {
 	// Name is the component name, used to verify the rebuilt engine
 	// registered the same component at this position.
@@ -57,9 +53,10 @@ type EntrySched struct {
 
 // EngineState is everything the engine itself contributes to a snapshot.
 // Component-internal state (accumulators, controller integrals, physics)
-// is captured by the components' own export hooks.
-//
-//bzlint:state ExportState RestoreState
+// is captured by the components' own export hooks. Unlike the module
+// states, it is assembled field by field rather than held inline: an
+// EntrySched's Name and UntilDue are not entry fields, and the entries
+// sit on the due wheel's hot path.
 type EngineState struct {
 	Tick    uint64
 	Streams []StreamState

@@ -102,36 +102,6 @@ type derivedState struct {
 	avgDewValid bool
 }
 
-// zoneInputs holds the per-step actuator and load inputs, also laid out
-// as structure-of-arrays, with the setter-side precomputation the kernel
-// consumes directly: SetVent resolves the supply air density (memoized on
-// the exact supply state) into mass-flow coefficients, and SetOccupants
-// folds the per-person loads into per-zone totals, so the per-tick pass
-// is pure multiply-adds.
-type zoneInputs struct {
-	ventVol    [NumZones]float64 // supply volume flow, m³/s
-	ventMdot   [NumZones]float64 // supply dry-air mass flow, kg/s
-	ventMdotCp [NumZones]float64 // ventMdot · cpAir, W/K
-	ventT      [NumZones]float64 // supply dry bulb, °C
-	ventW      [NumZones]float64 // supply humidity ratio, kg/kg
-	ventCO2    [NumZones]float64 // supply CO₂, ppm
-
-	panelExtract [NumZones]float64 // W removed by radiant panels
-	condensation [NumZones]float64 // kg/s moisture removed on cold surfaces
-
-	occupants [NumZones]int
-	occQ      [NumZones]float64 // occupant sensible heat, W
-	occW      [NumZones]float64 // occupant moisture, kg/s
-	occC      [NumZones]float64 // occupant CO₂, ppm·m³/s
-
-	// ventRho memoizes the supply-air density per zone, keyed on the
-	// exact supply (T, P). The airboxes settle onto float fixed points at
-	// steady state, so after the pull-down transient the key matches tick
-	// after tick; on a miss the value is recomputed with the same pure
-	// function and arguments, so hit/miss history cannot change results.
-	ventRho [NumZones]struct{ t, p, rho float64 }
-}
-
 // kernelTerms holds the per-configuration constants of the batch kernel,
 // folded once at construction. The integrator divides each zone's flow
 // totals by heat/moisture capacities that are proportional to the zone
@@ -179,25 +149,25 @@ type boundaryTerms struct {
 // actuator inputs (ventilation, panel extraction, condensation) are set by
 // upstream components each tick and consumed during StepBatch.
 //
-// The prognostic state is structure-of-arrays — zone i's dry-bulb
-// temperature is t[i], its humidity ratio w[i], its CO₂ co2[i] — held
-// inline next to the folded kernel, boundary, and input terms.
+// The mutable state is the structure-of-arrays RoomState held inline as
+// st — zone i's dry-bulb temperature is st.T[i], its humidity ratio
+// st.W[i], its CO₂ st.CO2[i], next to the folded input rows — beside the
+// folded kernel and boundary terms.
 type Room struct {
 	cfg Config
 
-	t, w, co2 [NumZones]float64
-	kern      kernelTerms
-	bnd       boundaryTerms
-	in        zoneInputs
+	st   RoomState
+	kern kernelTerms
+	bnd  boundaryTerms
 
-	der  derivedState
-	clim Climate
+	// ventRho memoizes the supply-air density per zone, keyed on the
+	// exact supply (T, P). The airboxes settle onto float fixed points at
+	// steady state, so after the pull-down transient the key matches tick
+	// after tick; on a miss the value is recomputed with the same pure
+	// function and arguments, so hit/miss history cannot change results.
+	ventRho [NumZones]struct{ t, p, rho float64 }
 
-	doorRemaining   float64 // seconds the door stays open
-	windowRemaining float64
-
-	doorOpenings   int
-	windowOpenings int
+	der derivedState
 }
 
 var _ sim.Component = (*Room)(nil)
@@ -210,9 +180,9 @@ func NewRoom(cfg Config, initial psychro.State, initialCO2 float64) (*Room, erro
 	}
 	r := &Room{cfg: cfg, kern: newKernelTerms(cfg)}
 	for i := 0; i < NumZones; i++ {
-		r.t[i] = initial.T
-		r.w[i] = initial.W
-		r.co2[i] = initialCO2
+		r.st.T[i] = initial.T
+		r.st.W[i] = initial.W
+		r.st.CO2[i] = initialCO2
 	}
 	r.SetClimate(NewClimate(cfg.Outdoor, cfg.OutdoorCO2PPM))
 	r.recomputeDerived()
@@ -225,9 +195,9 @@ func NewRoom(cfg Config, initial psychro.State, initialCO2 float64) (*Room, erro
 func (r *Room) recomputeDerived() {
 	var sumT, sumW, sumCO2 float64
 	for i := 0; i < NumZones; i++ {
-		sumT += r.t[i]
-		sumW += r.w[i]
-		sumCO2 += r.co2[i]
+		sumT += r.st.T[i]
+		sumW += r.st.W[i]
+		sumCO2 += r.st.CO2[i]
 	}
 	r.der.avgT = sumT / NumZones
 	r.der.avgW = sumW / NumZones
@@ -255,7 +225,7 @@ func (r *Room) Zone(id ZoneID) ZoneState {
 	if !id.Valid() {
 		return ZoneState{}
 	}
-	return ZoneState{T: r.t[id], W: r.w[id], CO2PPM: r.co2[id]}
+	return ZoneState{T: r.st.T[id], W: r.st.W[id], CO2PPM: r.st.CO2[id]}
 }
 
 // AverageT returns the room-average dry-bulb temperature (°C) — the
@@ -310,14 +280,14 @@ func (r *Room) ZoneRH(id ZoneID) float64 {
 }
 
 // Outdoor returns the current outdoor boundary condition.
-func (r *Room) Outdoor() psychro.State { return r.clim.Out }
+func (r *Room) Outdoor() psychro.State { return r.st.Climate.Out }
 
 // OutdoorDewPoint returns the dew point (°C) of the outdoor boundary
 // condition — the cached equivalent of Outdoor().DewPoint().
-func (r *Room) OutdoorDewPoint() float64 { return r.clim.Dew }
+func (r *Room) OutdoorDewPoint() float64 { return r.st.Climate.Dew }
 
 // Climate returns the installed precomputed outdoor boundary.
-func (r *Room) Climate() Climate { return r.clim }
+func (r *Room) Climate() Climate { return r.st.Climate }
 
 // SetOutdoor updates the outdoor boundary condition mid-run.
 //
@@ -333,7 +303,14 @@ func (r *Room) SetOutdoor(s psychro.State) {
 //
 //bzlint:mutsetter fleet.Apply
 func (r *Room) SetClimate(c Climate) {
-	r.clim = c
+	r.st.Climate = c
+	r.foldClimate()
+}
+
+// foldClimate refolds the outdoor-exchange coefficients from the installed
+// climate.
+func (r *Room) foldClimate() {
+	c := r.st.Climate
 	// Keep the Config view coherent for callers that read it back.
 	r.cfg.Outdoor = c.Out
 	r.cfg.OutdoorCO2PPM = c.CO2PPM
@@ -360,24 +337,24 @@ func (r *Room) SetVent(id ZoneID, in VentInput) {
 	if !id.Valid() {
 		return
 	}
-	r.in.ventVol[id] = in.VolFlow
-	r.in.ventT[id] = in.Supply.T
-	r.in.ventW[id] = in.Supply.W
-	r.in.ventCO2[id] = in.SupplyCO2PPM
+	r.st.VentVol[id] = in.VolFlow
+	r.st.VentT[id] = in.Supply.T
+	r.st.VentW[id] = in.Supply.W
+	r.st.VentCO2[id] = in.SupplyCO2PPM
 	if in.VolFlow <= 0 {
-		r.in.ventMdot[id] = 0
-		r.in.ventMdotCp[id] = 0
+		r.st.VentMdot[id] = 0
+		r.st.VentMdotCp[id] = 0
 		return
 	}
-	m := &r.in.ventRho[id]
+	m := &r.ventRho[id]
 	//bzlint:allow floateq exact-key memo; airbox supply settles on a float fixed point at steady state, and a miss recomputes with the same pure function
 	if m.t != in.Supply.T || m.p != in.Supply.P {
 		m.t, m.p = in.Supply.T, in.Supply.P
 		m.rho = psychro.DryAirDensity(in.Supply.T, in.Supply.P)
 	}
 	mdot := in.VolFlow * m.rho
-	r.in.ventMdot[id] = mdot
-	r.in.ventMdotCp[id] = mdot * cpAir
+	r.st.VentMdot[id] = mdot
+	r.st.VentMdotCp[id] = mdot * cpAir
 }
 
 // SetVentBatch installs all four ventilation boundary conditions in one
@@ -392,7 +369,7 @@ func (r *Room) SetVentBatch(in *[NumZones]VentInput) {
 // from a zone by the ceiling panel above it.
 func (r *Room) SetPanelExtraction(id ZoneID, watts float64) {
 	if id.Valid() {
-		r.in.panelExtract[id] = watts
+		r.st.PanelExtract[id] = watts
 	}
 }
 
@@ -400,7 +377,7 @@ func (r *Room) SetPanelExtraction(id ZoneID, watts float64) {
 // of a zone onto cold surfaces.
 func (r *Room) SetCondensation(id ZoneID, kgPerS float64) {
 	if id.Valid() && kgPerS >= 0 {
-		r.in.condensation[id] = kgPerS
+		r.st.Condensation[id] = kgPerS
 	}
 }
 
@@ -412,11 +389,11 @@ func (r *Room) SetOccupants(id ZoneID, n int) {
 	if !id.Valid() || n < 0 {
 		return
 	}
-	r.in.occupants[id] = n
+	r.st.Occupants[id] = n
 	fn := float64(n)
-	r.in.occQ[id] = fn * r.cfg.OccupantSensibleW
-	r.in.occW[id] = fn * r.cfg.OccupantLatentKgS
-	r.in.occC[id] = fn * r.cfg.OccupantCO2Ls / 1000 * 1e6 / 1 // L/s → m³/s → ppm·m³/s
+	r.st.OccQ[id] = fn * r.cfg.OccupantSensibleW
+	r.st.OccW[id] = fn * r.cfg.OccupantLatentKgS
+	r.st.OccC[id] = fn * r.cfg.OccupantCO2Ls / 1000 * 1e6 / 1 // L/s → m³/s → ppm·m³/s
 }
 
 // Occupants returns the occupant count of a zone.
@@ -424,7 +401,7 @@ func (r *Room) Occupants(id ZoneID) int {
 	if !id.Valid() {
 		return 0
 	}
-	return r.in.occupants[id]
+	return r.st.Occupants[id]
 }
 
 // OpenDoor opens the door (subspace-1) for the given duration, exchanging
@@ -433,28 +410,28 @@ func (r *Room) Occupants(id ZoneID) int {
 //
 //bzlint:mutsetter fleet.Apply
 func (r *Room) OpenDoor(d time.Duration) {
-	if s := d.Seconds(); s > r.doorRemaining {
-		r.doorRemaining = s
+	if s := d.Seconds(); s > r.st.DoorRemainingS {
+		r.st.DoorRemainingS = s
 	}
-	r.doorOpenings++
+	r.st.DoorOpenings++
 }
 
 // OpenWindow opens the window (subspace-3) for the given duration.
 func (r *Room) OpenWindow(d time.Duration) {
-	if s := d.Seconds(); s > r.windowRemaining {
-		r.windowRemaining = s
+	if s := d.Seconds(); s > r.st.WindowRemainingS {
+		r.st.WindowRemainingS = s
 	}
-	r.windowOpenings++
+	r.st.WindowOpenings++
 }
 
 // DoorOpen reports whether the door is currently open.
-func (r *Room) DoorOpen() bool { return r.doorRemaining > 0 }
+func (r *Room) DoorOpen() bool { return r.st.DoorRemainingS > 0 }
 
 // WindowOpen reports whether the window is currently open.
-func (r *Room) WindowOpen() bool { return r.windowRemaining > 0 }
+func (r *Room) WindowOpen() bool { return r.st.WindowRemainingS > 0 }
 
 // DoorOpenings returns the cumulative number of door-open events.
-func (r *Room) DoorOpenings() int { return r.doorOpenings }
+func (r *Room) DoorOpenings() int { return r.st.DoorOpenings }
 
 // Step implements sim.Component: one batch-kernel call integrates every
 // zone of the building.
@@ -466,20 +443,20 @@ func (r *Room) Step(env *sim.Env) { r.StepBatch(env.Dt()) }
 // CO₂ ppm·m³/s) from register-resident state. tn1/wn1/cn1 and tn2/wn2/cn2
 // are the two grid neighbours (the 2×2 adjacency is compile-time fixed);
 // qx/wx/cx are the zone's fused outdoor-exchange coefficients.
-func zoneFlows(k *kernelTerms, b *boundaryTerms, in *zoneInputs, i int, ti, wi, ci, tn1, tn2, wn1, wn2, cn1, cn2, qx, wx, cx float64) (q, wf, cf float64) {
+func zoneFlows(k *kernelTerms, b *boundaryTerms, st *RoomState, i int, ti, wi, ci, tn1, tn2, wn1, wn2, cn1, cn2, qx, wx, cx float64) (q, wf, cf float64) {
 	mdot := k.izf * k.air.Density(ti) // inter-zone dry-air mass flow
 	q = qx*(b.outT-ti) +
 		mdot*cpAir*((tn1-ti)+(tn2-ti)) +
-		in.ventMdotCp[i]*(in.ventT[i]-ti) +
-		in.occQ[i] - in.panelExtract[i]
+		st.VentMdotCp[i]*(st.VentT[i]-ti) +
+		st.OccQ[i] - st.PanelExtract[i]
 	wf = wx*(b.outW-wi) +
 		mdot*((wn1-wi)+(wn2-wi)) +
-		in.ventMdot[i]*(in.ventW[i]-wi) +
-		in.occW[i] - in.condensation[i]
+		st.VentMdot[i]*(st.VentW[i]-wi) +
+		st.OccW[i] - st.Condensation[i]
 	cf = cx*(b.outCO2-ci) +
 		k.izf*((cn1-ci)+(cn2-ci)) +
-		in.ventVol[i]*(in.ventCO2[i]-ci) +
-		in.occC[i]
+		st.VentVol[i]*(st.VentCO2[i]-ci) +
+		st.OccC[i]
 	return q, wf, cf
 }
 
@@ -510,12 +487,12 @@ func (r *Room) StepBatch(dt float64) {
 	// (outdoor − zone), so each balance pays one coefficient multiply.
 	qx0, wx0, cx0 := b.envInfQ, b.infW, b.infC
 	qx2, wx2, cx2 := b.envInfQ, b.infW, b.infC
-	if r.doorRemaining > 0 {
+	if r.st.DoorRemainingS > 0 {
 		qx0 += b.doorQ
 		wx0 += b.doorW
 		cx0 += b.doorC
 	}
-	if r.windowRemaining > 0 {
+	if r.st.WindowRemainingS > 0 {
 		qx2 += b.winQ
 		wx2 += b.winW
 		cx2 += b.winC
@@ -525,17 +502,17 @@ func (r *Room) StepBatch(dt float64) {
 	kMoistDt := k.kInvMoist * dt
 	kCO2Dt := k.invVol * dt
 
-	t0, t1, t2, t3 := r.t[0], r.t[1], r.t[2], r.t[3]
-	w0, w1, w2, w3 := r.w[0], r.w[1], r.w[2], r.w[3]
-	c0, c1, c2, c3 := r.co2[0], r.co2[1], r.co2[2], r.co2[3]
+	t0, t1, t2, t3 := r.st.T[0], r.st.T[1], r.st.T[2], r.st.T[3]
+	w0, w1, w2, w3 := r.st.W[0], r.st.W[1], r.st.W[2], r.st.W[3]
+	c0, c1, c2, c3 := r.st.CO2[0], r.st.CO2[1], r.st.CO2[2], r.st.CO2[3]
 
 	// Zone neighbourhoods (see adjacency): 0↔{1,2}, 1↔{0,3}, 2↔{0,3},
 	// 3↔{1,2}.
-	in := &r.in
-	q0, wf0, cf0 := zoneFlows(k, b, in, 0, t0, w0, c0, t1, t2, w1, w2, c1, c2, qx0, wx0, cx0)
-	q1, wf1, cf1 := zoneFlows(k, b, in, 1, t1, w1, c1, t0, t3, w0, w3, c0, c3, b.envInfQ, b.infW, b.infC)
-	q2, wf2, cf2 := zoneFlows(k, b, in, 2, t2, w2, c2, t0, t3, w0, w3, c0, c3, qx2, wx2, cx2)
-	q3, wf3, cf3 := zoneFlows(k, b, in, 3, t3, w3, c3, t1, t2, w1, w2, c1, c2, b.envInfQ, b.infW, b.infC)
+	st := &r.st
+	q0, wf0, cf0 := zoneFlows(k, b, st, 0, t0, w0, c0, t1, t2, w1, w2, c1, c2, qx0, wx0, cx0)
+	q1, wf1, cf1 := zoneFlows(k, b, st, 1, t1, w1, c1, t0, t3, w0, w3, c0, c3, b.envInfQ, b.infW, b.infC)
+	q2, wf2, cf2 := zoneFlows(k, b, st, 2, t2, w2, c2, t0, t3, w0, w3, c0, c3, qx2, wx2, cx2)
+	q3, wf3, cf3 := zoneFlows(k, b, st, 3, t3, w3, c3, t1, t2, w1, w2, c1, c2, b.envInfQ, b.infW, b.infC)
 
 	// Integrate. q / heatCap = q · T_K · R/(P·V·cp·mult): the capacity
 	// divides collapse into multiplies because ρ = P/(R·T_K). The moisture
@@ -579,9 +556,9 @@ func (r *Room) StepBatch(dt float64) {
 		c3 = 0
 	}
 
-	r.t = [NumZones]float64{t0, t1, t2, t3}
-	r.w = [NumZones]float64{w0, w1, w2, w3}
-	r.co2 = [NumZones]float64{c0, c1, c2, c3}
+	r.st.T = [NumZones]float64{t0, t1, t2, t3}
+	r.st.W = [NumZones]float64{w0, w1, w2, w3}
+	r.st.CO2 = [NumZones]float64{c0, c1, c2, c3}
 
 	// Derived averages, fused into the pass (left-associated in zone order,
 	// the same bits recomputeDerived would produce); the expensive lazy
@@ -593,16 +570,16 @@ func (r *Room) StepBatch(dt float64) {
 	r.der.rhValid = [NumZones]bool{}
 	r.der.avgDewValid = false
 
-	if r.doorRemaining > 0 {
-		r.doorRemaining -= dt
-		if r.doorRemaining < 0 {
-			r.doorRemaining = 0
+	if r.st.DoorRemainingS > 0 {
+		r.st.DoorRemainingS -= dt
+		if r.st.DoorRemainingS < 0 {
+			r.st.DoorRemainingS = 0
 		}
 	}
-	if r.windowRemaining > 0 {
-		r.windowRemaining -= dt
-		if r.windowRemaining < 0 {
-			r.windowRemaining = 0
+	if r.st.WindowRemainingS > 0 {
+		r.st.WindowRemainingS -= dt
+		if r.st.WindowRemainingS < 0 {
+			r.st.WindowRemainingS = 0
 		}
 	}
 }

@@ -256,11 +256,11 @@ func TestInterZoneMixingEqualises(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Perturb zone 0 hot, zone 3 cold; mixing must converge them.
-	r.t[0] = 30
-	r.t[3] = 20
+	r.st.T[0] = 30
+	r.st.T[3] = 20
 	r.recomputeDerived()
 	runRoom(t, r, 2*time.Hour)
-	spread := r.t[0] - r.t[3]
+	spread := r.st.T[0] - r.st.T[3]
 	if math.Abs(spread) > 0.5 {
 		t.Errorf("zones did not equalise: spread %v", spread)
 	}

@@ -24,10 +24,7 @@ const SnapshotVersion = 1
 // twin's remaining run bit-identical to an uninterrupted one rather than
 // merely close. A snapshot taken at tick T never re-pins a golden epoch:
 // the restored run continues the original sample streams.
-//
-//bzlint:state Snapshot RestoreTwin
 type Snapshot struct {
-	//bzlint:allow statecov restore only validates Version (ReadSnapshot rejects mismatches); there is nothing to patch into the rebuilt twin
 	Version int
 	Config  Config
 	State   fleet.State

@@ -444,3 +444,46 @@ func TestSnapshotVersionGuard(t *testing.T) {
 		t.Fatalf("ReadSnapshot of future version: err = %v, want version guard", err)
 	}
 }
+
+// TestServerRestoreRejectsBackwardTrace pins that a snapshot whose trace
+// points run backwards in time is refused with 400, not restored with a
+// series cut short at the bad point.
+func TestServerRestoreRejectsBackwardTrace(t *testing.T) {
+	tw, err := NewTwin(context.Background(), Config{Buildings: 1, Seed: 7, EpochTicks: 64})
+	if err != nil {
+		t.Fatalf("NewTwin: %v", err)
+	}
+	defer tw.Close()
+	if err := tw.RunTicks(64); err != nil {
+		t.Fatalf("RunTicks: %v", err)
+	}
+	waitIdle(t, tw, 64)
+	snap, err := tw.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	series := snap.State.Buildings[0].Recorder.Series
+	if len(series) == 0 || len(series[0].Points) < 2 {
+		t.Fatalf("building 0 recorded no series with two points to reorder")
+	}
+	pts := series[0].Points
+	pts[0].At, pts[1].At = pts[1].At, pts[0].At
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+
+	srv := NewServer()
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/twins/restore", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatalf("POST restore: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "precedes") {
+		t.Fatalf("POST restore of a backward trace: status %d %s, want 400 naming the out-of-order sample", resp.StatusCode, body)
+	}
+}

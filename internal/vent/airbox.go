@@ -95,13 +95,7 @@ type Airbox struct {
 	pump *hydraulic.Pump
 	dew  *pid.Controller
 
-	fanFlow  float64 // commanded m³/s
-	flapOpen bool
-	curDew   float64 // lagged coil outlet dew point (NaN until first air)
-
-	outlet     psychro.State
-	condensate float64 // kg/s removed from the processed air
-	coilLoadW  float64
+	st AirboxState // Pump/Dew slots unused: see the type
 }
 
 // NewAirbox assembles an airbox.
@@ -122,7 +116,7 @@ func NewAirbox(coil CoilConfig, fan FanConfig, pump *hydraulic.Pump, dewPID pid.
 	if err != nil {
 		return nil, err
 	}
-	return &Airbox{coil: coil, fan: fan, pump: pump, dew: ctrl, curDew: math.NaN()}, nil
+	return &Airbox{coil: coil, fan: fan, pump: pump, dew: ctrl, st: AirboxState{CurDew: math.NaN()}}, nil
 }
 
 // SetDewTarget updates the outlet dew-point target T_a,t_dew.
@@ -140,34 +134,34 @@ func (b *Airbox) SetFanFlow(m3s float64) {
 	if m3s > b.fan.MaxFlowM3s {
 		m3s = b.fan.MaxFlowM3s
 	}
-	b.fanFlow = m3s
-	b.flapOpen = m3s > 0
+	b.st.FanFlow = m3s
+	b.st.FlapOpen = m3s > 0
 }
 
 // FanFlow returns the commanded ventilation flow in m³/s.
-func (b *Airbox) FanFlow() float64 { return b.fanFlow }
+func (b *Airbox) FanFlow() float64 { return b.st.FanFlow }
 
 // FlapOpen reports whether the CO₂flap is open.
-func (b *Airbox) FlapOpen() bool { return b.flapOpen }
+func (b *Airbox) FlapOpen() bool { return b.st.FlapOpen }
 
 // MaxFanFlow returns the fan capacity in m³/s.
 func (b *Airbox) MaxFanFlow() float64 { return b.fan.MaxFlowM3s }
 
 // Outlet returns the most recent outlet air state.
-func (b *Airbox) Outlet() psychro.State { return b.outlet }
+func (b *Airbox) Outlet() psychro.State { return b.st.Outlet }
 
 // CondensateKgS returns the moisture extraction rate of the last step.
-func (b *Airbox) CondensateKgS() float64 { return b.condensate }
+func (b *Airbox) CondensateKgS() float64 { return b.st.Condensate }
 
 // CoilLoadW returns the thermal load placed on the cold-water loop by the
 // last step.
-func (b *Airbox) CoilLoadW() float64 { return b.coilLoadW }
+func (b *Airbox) CoilLoadW() float64 { return b.st.CoilLoadW }
 
 // PowerW returns the electrical draw of fans and coil pump.
 func (b *Airbox) PowerW() float64 {
 	frac := 0.0
 	if b.fan.MaxFlowM3s > 0 {
-		frac = b.fanFlow / b.fan.MaxFlowM3s
+		frac = b.st.FanFlow / b.fan.MaxFlowM3s
 	}
 	return b.fan.StandbyW + b.fan.MaxPowerW*frac*frac*frac + b.pump.PowerW()
 }
@@ -199,11 +193,11 @@ func (b *Airbox) UpdateDewControl(measuredDew, dt float64) {
 // temperature plus approach), the separated vapour condenses out, and the
 // coil load is returned to the cold tank.
 func (b *Airbox) Process(outdoor psychro.State, tank *hydraulic.Tank, dt float64) {
-	if b.fanFlow <= 0 {
+	if b.st.FanFlow <= 0 {
 		// Damper closed: no air moves, no coil load.
-		b.outlet = outdoor
-		b.condensate = 0
-		b.coilLoadW = 0
+		b.st.Outlet = outdoor
+		b.st.Condensate = 0
+		b.st.CoilLoadW = 0
 		return
 	}
 	coilFlow := b.pump.FlowLpm()
@@ -217,35 +211,35 @@ func (b *Airbox) Process(outdoor psychro.State, tank *hydraulic.Tank, dt float64
 	}
 	// First-order coil lag toward the steady-state dew point. A coil that
 	// has never seen air starts at the inlet condition.
-	if math.IsNaN(b.curDew) {
-		b.curDew = inDew
+	if math.IsNaN(b.st.CurDew) {
+		b.st.CurDew = inDew
 	}
 	if b.coil.TauS <= 0 {
-		b.curDew = ssDew
+		b.st.CurDew = ssDew
 	} else {
 		frac := dt / b.coil.TauS
 		if frac > 1 {
 			frac = 1
 		}
-		b.curDew += (ssDew - b.curDew) * frac
+		b.st.CurDew += (ssDew - b.st.CurDew) * frac
 	}
-	outDew := b.curDew
+	outDew := b.st.CurDew
 	// Air leaves the coil saturated at outDew, then reheats slightly; it
 	// can never leave warmer than it arrived.
 	outT := math.Min(outDew+b.coil.ReheatK, outdoor.T)
-	b.outlet = psychro.NewStateDewPoint(outT, outDew, outdoor.P)
+	b.st.Outlet = psychro.NewStateDewPoint(outT, outDew, outdoor.P)
 
-	mdotAir := b.fanFlow * psychro.DryAirDensity(outdoor.T, outdoor.P)
-	b.condensate = mdotAir * (outdoor.W - b.outlet.W)
-	if b.condensate < 0 {
-		b.condensate = 0
+	mdotAir := b.st.FanFlow * psychro.DryAirDensity(outdoor.T, outdoor.P)
+	b.st.Condensate = mdotAir * (outdoor.W - b.st.Outlet.W)
+	if b.st.Condensate < 0 {
+		b.st.Condensate = 0
 	}
-	b.coilLoadW = mdotAir * (outdoor.Enthalpy() - b.outlet.Enthalpy()) * 1000
-	if b.coilLoadW < 0 {
-		b.coilLoadW = 0
+	b.st.CoilLoadW = mdotAir * (outdoor.Enthalpy() - b.st.Outlet.Enthalpy()) * 1000
+	if b.st.CoilLoadW < 0 {
+		b.st.CoilLoadW = 0
 	}
-	if coilFlow > 0 && b.coilLoadW > 0 {
-		tRet := tank.Temp() + b.coilLoadW/(hydraulic.LpmToKgs(coilFlow)*hydraulic.CwWater)
+	if coilFlow > 0 && b.st.CoilLoadW > 0 {
+		tRet := tank.Temp() + b.st.CoilLoadW/(hydraulic.LpmToKgs(coilFlow)*hydraulic.CwWater)
 		tank.ReturnWater(coilFlow, tRet)
 	}
 }

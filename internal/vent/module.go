@@ -89,30 +89,10 @@ func (c Config) Validate() error {
 	return c.DewPID.Validate()
 }
 
-// zoneObs is the per-subspace observation state assembled from broadcast
-// sensor messages.
-type zoneObs struct {
-	temp, rh, co2 float64
-
-	// wKeyTemp/wKeyRH/w memoise HumidityRatio(temp, rh): observations only
-	// change when a broadcast arrives, while the control law reruns every
-	// tick. The memo returns the exact float the recomputation would (same
-	// pure function, same arguments), so the control output is
-	// bit-identical; NaN observations never match the key and fall through
-	// to the (NaN-propagating) computation.
-	wKeyTemp, wKeyRH, w float64
-}
-
-// humidityRatio returns HumidityRatio(temp, rh, AtmPressure), cached
-// against the current observation pair.
-func (z *zoneObs) humidityRatio() float64 {
-	//bzlint:allow floateq exact-key memo; NaN keys never match and force recomputation
-	if z.temp == z.wKeyTemp && z.rh == z.wKeyRH {
-		return z.w
-	}
-	z.wKeyTemp, z.wKeyRH = z.temp, z.rh
-	z.w = psychro.HumidityRatio(z.temp, z.rh, psychro.AtmPressure)
-	return z.w
+// humidityRatioAtm is psychro.HumidityRatio at sea-level pressure, in the
+// two-argument shape memo2 caches.
+func humidityRatioAtm(t, rh float64) float64 {
+	return psychro.HumidityRatio(t, rh, psychro.AtmPressure)
 }
 
 // memo2 caches one float64 result keyed on two exact float64 arguments.
@@ -145,21 +125,15 @@ type Module struct {
 	outdoor func() psychro.State
 	co2Out  float64 // outdoor CO₂ used as supply concentration
 
-	zones     [NumBoxes]zoneObs
-	tSupp     float64 // radiant supply temperature from Control-C-1
-	airboxDew [NumBoxes]float64
-
-	// boxUntrusted marks boxes whose outlet-dew mote has gone stale: the
-	// coil PID then tracks the box's own model-predicted outlet dew
-	// instead of the last (frozen) measurement.
-	boxUntrusted [NumBoxes]bool
-
-	taTarget float64
+	st ModuleState // Boxes slots unused: see the type
 
 	// Exact-argument memos for the psychrometric conversions the per-tick
-	// control law repeats on slowly-changing inputs (see zoneObs).
-	tpDewMemo   memo2 // (TPref, RHPref) -> preferred dew point
-	roomDewMemo memo2 // (avg temp, avg rh) -> room dew point
+	// control law repeats on slowly-changing inputs: observations only
+	// change when a broadcast arrives, while the control law reruns every
+	// tick.
+	tpDewMemo   memo2           // (TPref, RHPref) -> preferred dew point
+	roomDewMemo memo2           // (avg temp, avg rh) -> room dew point
+	zoneWMemo   [NumBoxes]memo2 // (zone temp, zone rh) -> humidity ratio
 	sizingMemo  struct {
 		target            float64
 		wTarget, wTrigger float64
@@ -181,7 +155,9 @@ func New(cfg Config, tank *hydraulic.Tank, outdoor func() psychro.State, co2Out 
 	if outdoor == nil {
 		return nil, fmt.Errorf("vent: outdoor must not be nil")
 	}
-	m := &Module{cfg: cfg, tank: tank, outdoor: outdoor, co2Out: co2Out, tSupp: math.NaN()}
+	m := &Module{cfg: cfg, tank: tank, outdoor: outdoor, co2Out: co2Out}
+	m.st.TPref, m.st.RHPref = cfg.TPref, cfg.RHPref
+	m.st.TSupp = math.NaN()
 	for i := range m.boxes {
 		pump := &hydraulic.Pump{MaxFlowLpm: cfg.Coil.MaxFlowLpm, MaxPowerW: 2, StandbyW: 0.1}
 		box, err := NewAirbox(cfg.Coil, cfg.Fan, pump, cfg.DewPID)
@@ -189,8 +165,8 @@ func New(cfg Config, tank *hydraulic.Tank, outdoor func() psychro.State, co2Out 
 			return nil, err
 		}
 		m.boxes[i] = box
-		m.zones[i] = zoneObs{temp: math.NaN(), rh: math.NaN(), co2: math.NaN()}
-		m.airboxDew[i] = math.NaN()
+		m.st.Zones[i] = ZoneObsState{Temp: math.NaN(), RH: math.NaN(), CO2: math.NaN()}
+		m.st.AirboxDew[i] = math.NaN()
 	}
 	return m, nil
 }
@@ -209,21 +185,21 @@ func (m *Module) Box(i int) *Airbox {
 // ObserveZoneTemp feeds a subspace temperature reading (°C).
 func (m *Module) ObserveZoneTemp(zone int, t float64) {
 	if zone >= 0 && zone < NumBoxes && !math.IsNaN(t) {
-		m.zones[zone].temp = t
+		m.st.Zones[zone].Temp = t
 	}
 }
 
 // ObserveZoneRH feeds a subspace relative-humidity reading (%).
 func (m *Module) ObserveZoneRH(zone int, rh float64) {
 	if zone >= 0 && zone < NumBoxes && !math.IsNaN(rh) {
-		m.zones[zone].rh = rh
+		m.st.Zones[zone].RH = rh
 	}
 }
 
 // ObserveZoneCO2 feeds a subspace CO₂ reading (ppm).
 func (m *Module) ObserveZoneCO2(zone int, ppm float64) {
 	if zone >= 0 && zone < NumBoxes && !math.IsNaN(ppm) {
-		m.zones[zone].co2 = ppm
+		m.st.Zones[zone].CO2 = ppm
 	}
 }
 
@@ -232,14 +208,14 @@ func (m *Module) ObserveZoneCO2(zone int, ppm float64) {
 // keep the room dew point below the radiant water temperature.
 func (m *Module) ObserveSupplyTemp(t float64) {
 	if !math.IsNaN(t) {
-		m.tSupp = t
+		m.st.TSupp = t
 	}
 }
 
 // ObserveAirboxDew feeds an SHT75 outlet dew-point measurement for a box.
 func (m *Module) ObserveAirboxDew(box int, dew float64) {
 	if box >= 0 && box < NumBoxes && !math.IsNaN(dew) {
-		m.airboxDew[box] = dew
+		m.st.AirboxDew[box] = dew
 	}
 }
 
@@ -251,13 +227,13 @@ func (m *Module) SetBoxDewUntrusted(box int, on bool) {
 	if box < 0 || box >= NumBoxes {
 		return
 	}
-	m.boxUntrusted[box] = on
+	m.st.BoxUntrusted[box] = on
 	m.boxes[box].SetDewIntegratorFrozen(on)
 }
 
 // BoxDewUntrusted reports whether a box's dew measurement is untrusted.
 func (m *Module) BoxDewUntrusted(box int) bool {
-	return box >= 0 && box < NumBoxes && m.boxUntrusted[box]
+	return box >= 0 && box < NumBoxes && m.st.BoxUntrusted[box]
 }
 
 // DeratePumps limits every coil pump to frac of its commanded flow (1
@@ -270,28 +246,28 @@ func (m *Module) DeratePumps(frac float64) {
 
 // SetPreference updates the occupant temperature/humidity preference.
 func (m *Module) SetPreference(tPref, rhPref float64) {
-	m.cfg.TPref = tPref
-	m.cfg.RHPref = rhPref
+	m.st.TPref = tPref
+	m.st.RHPref = rhPref
 }
 
 // TPDew returns the preferred dew point T_p_dew derived from the occupant
 // preference.
 func (m *Module) TPDew() float64 {
-	return m.tpDewMemo.get(m.cfg.TPref, m.cfg.RHPref, psychro.DewPoint)
+	return m.tpDewMemo.get(m.st.TPref, m.st.RHPref, psychro.DewPoint)
 }
 
 // TaTarget returns the current airbox outlet dew target T_a,t_dew.
-func (m *Module) TaTarget() float64 { return m.taTarget }
+func (m *Module) TaTarget() float64 { return m.st.TaTarget }
 
 // RoomDew returns the observed room dew point (from averaged zone
 // temperature and humidity), or NaN before data arrives.
 func (m *Module) RoomDew() float64 {
 	var tSum, rhSum float64
 	n := 0
-	for _, z := range m.zones {
-		if !math.IsNaN(z.temp) && !math.IsNaN(z.rh) {
-			tSum += z.temp
-			rhSum += z.rh
+	for _, z := range m.st.Zones {
+		if !math.IsNaN(z.Temp) && !math.IsNaN(z.RH) {
+			tSum += z.Temp
+			rhSum += z.RH
 			n++
 		}
 	}
@@ -352,8 +328,8 @@ func (m *Module) Step(env *sim.Env) {
 
 	// Room target dew point: T_r,t_dew = min{T_p_dew, T_supp}.
 	trTarget := m.TPDew()
-	if !math.IsNaN(m.tSupp) && m.tSupp < trTarget {
-		trTarget = m.tSupp
+	if !math.IsNaN(m.st.TSupp) && m.st.TSupp < trTarget {
+		trTarget = m.st.TSupp
 	}
 
 	// Airbox outlet target: depressed while pulling down, equal while
@@ -361,28 +337,28 @@ func (m *Module) Step(env *sim.Env) {
 	roomDew := m.RoomDew()
 	switch {
 	case math.IsNaN(roomDew):
-		m.taTarget = trTarget
+		m.st.TaTarget = trTarget
 	case trTarget < roomDew:
-		m.taTarget = trTarget - m.cfg.PullDownOffsetK
+		m.st.TaTarget = trTarget - m.cfg.PullDownOffsetK
 	default:
-		m.taTarget = trTarget
+		m.st.TaTarget = trTarget
 	}
 
 	for i, b := range m.boxes {
-		b.SetDewTarget(m.taTarget)
+		b.SetDewTarget(m.st.TaTarget)
 
 		// Fan sizing: F_vent = max{F_humd, F_CO2}. trTarget is the sizing
 		// dew target (the room target, not the depressed box target).
-		z := &m.zones[i]
-		fHumd := m.humidityFlow(z, b, trTarget)
+		z := &m.st.Zones[i]
+		fHumd := m.humidityFlow(z, &m.zoneWMemo[i], b, trTarget)
 		fCO2 := m.co2Flow(z)
 		b.SetFanFlow(math.Max(fHumd, fCO2))
 
 		// Coil control runs only while air moves; an idle box parks its
 		// pump (no point chilling a coil nothing flows over).
 		if b.FanFlow() > 0 {
-			measured := m.airboxDew[i]
-			if math.IsNaN(measured) || m.boxUntrusted[i] {
+			measured := m.st.AirboxDew[i]
+			if math.IsNaN(measured) || m.st.BoxUntrusted[i] {
 				measured = b.Outlet().DewPoint()
 			}
 			b.UpdateDewControl(measured, dt)
@@ -398,11 +374,11 @@ func (m *Module) Step(env *sim.Env) {
 // humidity ratio to the target within the horizon, given the current box
 // outlet dryness. target is the room dew target (min of preference and
 // T_supp) computed once per Step.
-func (m *Module) humidityFlow(z *zoneObs, b *Airbox, target float64) float64 {
-	if math.IsNaN(z.temp) || math.IsNaN(z.rh) {
+func (m *Module) humidityFlow(z *ZoneObsState, wMemo *memo2, b *Airbox, target float64) float64 {
+	if math.IsNaN(z.Temp) || math.IsNaN(z.RH) {
 		return 0
 	}
-	wZone := z.humidityRatio()
+	wZone := wMemo.get(z.Temp, z.RH, humidityRatioAtm)
 	// wTarget and wTrigger depend only on the sizing target (the deadband
 	// is fixed), which changes only when a T_supp broadcast moves it; the
 	// memo holds both conversions. A NaN target never matches and
@@ -432,13 +408,13 @@ func (m *Module) humidityFlow(z *zoneObs, b *Airbox, target float64) float64 {
 
 // co2Flow sizes the ventilation flow (m³/s) needed to pull the zone CO₂
 // concentration to the target within the horizon.
-func (m *Module) co2Flow(z *zoneObs) float64 {
-	if math.IsNaN(z.co2) || z.co2 <= m.cfg.CO2TargetPPM {
+func (m *Module) co2Flow(z *ZoneObsState) float64 {
+	if math.IsNaN(z.CO2) || z.CO2 <= m.cfg.CO2TargetPPM {
 		return 0
 	}
-	denom := z.co2 - m.co2Out
+	denom := z.CO2 - m.co2Out
 	if denom <= 1 {
 		return 0
 	}
-	return m.cfg.ZoneVolumeM3 * (z.co2 - m.cfg.CO2TargetPPM) / denom / m.cfg.HorizonS
+	return m.cfg.ZoneVolumeM3 * (z.CO2 - m.cfg.CO2TargetPPM) / denom / m.cfg.HorizonS
 }

@@ -31,24 +31,15 @@ type SensorDevice struct {
 	read func() float64
 	mode TxMode
 
-	sched       *adaptive.Scheduler
-	tsplS       float64
-	sinceSample float64
+	sched *adaptive.Scheduler
+	tsplS float64
 
 	// onSample observes every sampling event (for Tsnd traces); onSend
 	// observes transmissions.
 	onSample func(value, tsndS float64, transition bool)
 	onSend   func(value float64)
 
-	// Fault-injection state (see internal/fault). A stuck channel latches
-	// the first reading taken after the fault lands; a drifting channel
-	// accumulates driftPerS units of bias per second of simulated time,
-	// advanced per sample so the fault-free sampling path is untouched.
-	stuck     bool
-	stuckHeld bool
-	stuckVal  float64
-	driftPerS float64
-	driftBias float64
+	st SensorDeviceState // Sched slot unused: see the type
 }
 
 var _ sim.Cadenced = (*SensorDevice)(nil)
@@ -145,9 +136,9 @@ func (d *SensorDevice) OnSend(fn func(value float64)) { d.onSend = fn }
 // the classic failure of a wedged ADC or a detached probe. Releasing
 // clears the latch so the next sample reads the live plant again.
 func (d *SensorDevice) SetStuck(on bool) {
-	d.stuck = on
+	d.st.Stuck = on
 	if !on {
-		d.stuckHeld = false
+		d.st.StuckHeld = false
 	}
 }
 
@@ -155,10 +146,10 @@ func (d *SensorDevice) SetStuck(on bool) {
 // second of simulated time. A rate of zero clears the accumulated bias —
 // fault clearance models the mote being recalibrated or swapped.
 func (d *SensorDevice) SetDrift(ratePerS float64) {
-	d.driftPerS = ratePerS
+	d.st.DriftPerS = ratePerS
 	//bzlint:allow floateq zero is the documented clear-drift sentinel, set literally by fault clearance
 	if ratePerS == 0 {
-		d.driftBias = 0
+		d.st.DriftBias = 0
 	}
 }
 
@@ -180,9 +171,9 @@ func (d *SensorDevice) StepN(env *sim.Env, n uint64) {
 		if b != nil {
 			b.Drain(idle)
 		}
-		d.sinceSample += dt
-		for d.sinceSample >= d.tsplS {
-			d.sinceSample -= d.tsplS
+		d.st.SinceSample += dt
+		for d.st.SinceSample >= d.tsplS {
+			d.st.SinceSample -= d.tsplS
 			d.sampleOnce()
 		}
 	}
@@ -195,7 +186,7 @@ func (d *SensorDevice) StepN(env *sim.Env, n uint64) {
 // period — a configuration where per-tick polling would never fire
 // either) parks the device effectively forever.
 func (d *SensorDevice) NextDue(dtS float64) uint64 {
-	return nextAccumDue(d.sinceSample, dtS, d.tsplS)
+	return nextAccumDue(d.st.SinceSample, dtS, d.tsplS)
 }
 
 // neverDue is the wheel distance used for a schedule that cannot fire:
@@ -230,18 +221,18 @@ func (d *SensorDevice) sampleOnce() {
 		b.Drain(energy.SampleEnergyJ)
 	}
 	value := d.read()
-	if d.stuck {
-		if !d.stuckHeld {
-			d.stuckHeld, d.stuckVal = true, value
+	if d.st.Stuck {
+		if !d.st.StuckHeld {
+			d.st.StuckHeld, d.st.StuckVal = true, value
 		}
-		value = d.stuckVal
+		value = d.st.StuckVal
 	}
 	//bzlint:allow floateq zero is the no-drift sentinel, set literally by SetDrift
-	if d.driftPerS != 0 {
+	if d.st.DriftPerS != 0 {
 		// One sample per T_spl, so per-sample accumulation integrates the
 		// rate over simulated time without touching the per-tick loop.
-		d.driftBias += d.driftPerS * d.tsplS
-		value += d.driftBias
+		d.st.DriftBias += d.st.DriftPerS * d.tsplS
+		value += d.st.DriftBias
 	}
 
 	var send bool
@@ -280,7 +271,7 @@ type PeriodicBroadcaster struct {
 	zone    int
 	read    func() float64
 	periodS float64
-	since   float64
+	st      PeriodicBroadcasterState
 }
 
 var _ sim.Cadenced = (*PeriodicBroadcaster)(nil)
@@ -296,7 +287,7 @@ func NewPeriodicBroadcaster(node *Node, net *Network, typ MsgType, zone int,
 	}
 	return &PeriodicBroadcaster{
 		node: node, net: net, typ: typ, zone: zone, periodS: periodS, read: read,
-		since: periodS, // first broadcast on the first tick
+		st: PeriodicBroadcasterState{Since: periodS}, // first broadcast on the first tick
 	}, nil
 }
 
@@ -315,9 +306,9 @@ func (p *PeriodicBroadcaster) Step(env *sim.Env) { p.StepN(env, 1) }
 func (p *PeriodicBroadcaster) StepN(env *sim.Env, n uint64) {
 	dt := env.Dt()
 	for ; n > 0; n-- {
-		p.since += dt
-		if p.since >= p.periodS {
-			p.since = 0
+		p.st.Since += dt
+		if p.st.Since >= p.periodS {
+			p.st.Since = 0
 			_ = p.net.Broadcast(p.node, Message{Type: p.typ, Zone: p.zone, Value: p.read()})
 		}
 	}
@@ -325,5 +316,5 @@ func (p *PeriodicBroadcaster) StepN(env *sim.Env, n uint64) {
 
 // NextDue implements sim.Cadenced (see SensorDevice.NextDue).
 func (p *PeriodicBroadcaster) NextDue(dtS float64) uint64 {
-	return nextAccumDue(p.since, dtS, p.periodS)
+	return nextAccumDue(p.st.Since, dtS, p.periodS)
 }

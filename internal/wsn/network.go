@@ -165,7 +165,6 @@ type Network struct {
 	acCount int
 	pending []pendingTx
 	subs    []subscription
-	stats   Stats
 
 	// starts, collided, and order are Step's scratch buffers, owned by the
 	// network and regrown only when the pending set outgrows them, so the
@@ -183,11 +182,7 @@ type Network struct {
 	// step the network exactly on ticks where a producer transmitted.
 	wake func()
 
-	// Fault-injection state (see internal/fault), layered on top of the
-	// configured medium: lossBoost adds to LossFloor during burst-loss
-	// windows, and a jammed channel destroys every frame outright.
-	lossBoost float64
-	jammed    bool
+	st NetworkState // Nodes slot unused: see the type
 }
 
 var _ sim.Component = (*Network)(nil)
@@ -271,14 +266,14 @@ func (n *Network) SetLossBoost(p float64) {
 	if p < 0 {
 		p = 0
 	}
-	n.lossBoost = p
+	n.st.LossBoost = p
 }
 
 // SetJammed switches the channel jam on or off. While jammed, every
 // frame offered in a tick is destroyed before contention resolution —
 // transmitters still pay their transmission energy, but nothing is
 // delivered and no RNG draws are consumed.
-func (n *Network) SetJammed(on bool) { n.jammed = on }
+func (n *Network) SetJammed(on bool) { n.st.Jammed = on }
 
 // AddSniffer registers a callback observing every delivered message.
 func (n *Network) AddSniffer(fn func(Message)) {
@@ -330,7 +325,7 @@ func (n *Network) Broadcast(node *Node, msg Message) error {
 }
 
 // Stats returns the cumulative medium statistics.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() Stats { return n.st.Stats }
 
 // Step implements sim.Component: assigns channel-access offsets, resolves
 // CSMA deferral and CCA-blind collisions, and delivers surviving packets
@@ -341,9 +336,9 @@ func (n *Network) Step(env *sim.Env) {
 	if len(n.pending) == 0 {
 		return
 	}
-	if n.jammed {
-		n.stats.Sent += len(n.pending)
-		n.stats.Jammed += len(n.pending)
+	if n.st.Jammed {
+		n.st.Stats.Sent += len(n.pending)
+		n.st.Stats.Jammed += len(n.pending)
 		n.pending = n.pending[:0]
 		return
 	}
@@ -353,8 +348,8 @@ func (n *Network) Step(env *sim.Env) {
 	// receiver, and the three passes touch them once or twice per packet.
 	rng := n.rng
 	airtime, blind, loss := n.cfg.AirtimeS, n.cfg.CCABlindS, n.cfg.LossFloor
-	if n.lossBoost > 0 {
-		if loss += n.lossBoost; loss > 1 {
+	if n.st.LossBoost > 0 {
+		if loss += n.st.LossBoost; loss > 1 {
 			loss = 1
 		}
 	}
@@ -427,17 +422,17 @@ func (n *Network) Step(env *sim.Env) {
 
 	for i, oi := range order {
 		tx := &n.pending[oi]
-		n.stats.Sent++
+		n.st.Stats.Sent++
 		if collided[i] {
-			n.stats.Collided++
+			n.st.Stats.Collided++
 			continue
 		}
 		if loss > 0 && rng.Float64() < loss {
-			n.stats.LostRandom++
+			n.st.Stats.LostRandom++
 			continue
 		}
-		n.stats.Delivered++
-		n.stats.TotalDelayS += starts[i] - tx.offset + airtime
+		n.st.Stats.Delivered++
+		n.st.Stats.TotalDelayS += starts[i] - tx.offset + airtime
 		for si := range n.subs {
 			if s := &n.subs[si]; s.matches(tx.msg.Type) {
 				s.fn(tx.msg)

@@ -15,20 +15,22 @@ import (
 // the same topology from the same config.
 
 // NodeState is one mote's mutable state.
-//
-//bzlint:state ExportState RestoreState
 type NodeState struct {
 	ID      NodeID
 	Seq     uint32
 	Battery *energy.BatteryState // nil for AC nodes
 }
 
-// NetworkState is the Network's mutable state.
-//
-//bzlint:state ExportState RestoreState
+// NetworkState is the Network's mutable state. In the network's own copy
+// the Nodes slot stays unused — each Node holds its counters — and
+// ExportState fills it.
 type NetworkState struct {
-	Nodes     []NodeState // sorted by ID
-	Stats     Stats
+	Nodes []NodeState // sorted by ID
+	Stats Stats
+	// LossBoost and Jammed are fault-injection state (see internal/fault),
+	// layered on top of the configured medium: LossBoost adds to LossFloor
+	// during burst-loss windows, and a jammed channel destroys every frame
+	// outright.
 	LossBoost float64
 	Jammed    bool
 }
@@ -37,12 +39,8 @@ type NetworkState struct {
 // medium counters and fault toggles. Nodes are emitted sorted by ID so the
 // export is deterministic despite the map-backed registry.
 func (n *Network) ExportState() NetworkState {
-	st := NetworkState{
-		Nodes:     make([]NodeState, 0, len(n.nodes)),
-		Stats:     n.stats,
-		LossBoost: n.lossBoost,
-		Jammed:    n.jammed,
-	}
+	st := n.st
+	st.Nodes = make([]NodeState, 0, len(n.nodes))
 	//bzlint:allow determinism export is sorted by node ID below, so iteration order is immaterial
 	for _, node := range n.nodes {
 		ns := NodeState{ID: node.id, Seq: node.seq}
@@ -57,13 +55,18 @@ func (n *Network) ExportState() NetworkState {
 }
 
 // RestoreState overwrites node and medium state. The receiver must hold
-// the same node population the state was exported from.
+// the same node population the state was exported from, listed once each
+// in strictly ascending ID order as ExportState writes it; a mismatch is
+// reported before anything is overwritten.
 func (n *Network) RestoreState(st NetworkState) error {
 	if len(st.Nodes) != len(n.nodes) {
 		return fmt.Errorf("wsn: network has %d nodes, snapshot has %d", len(n.nodes), len(st.Nodes))
 	}
 	for i := range st.Nodes {
 		ns := &st.Nodes[i]
+		if i > 0 && ns.ID <= st.Nodes[i-1].ID {
+			return fmt.Errorf("wsn: snapshot node %q out of order after %q", ns.ID, st.Nodes[i-1].ID)
+		}
 		node, ok := n.nodes[ns.ID]
 		if !ok {
 			return fmt.Errorf("wsn: snapshot node %q not in network", ns.ID)
@@ -71,41 +74,41 @@ func (n *Network) RestoreState(st NetworkState) error {
 		if (node.battery != nil) != (ns.Battery != nil) {
 			return fmt.Errorf("wsn: node %q power class differs from snapshot", ns.ID)
 		}
+	}
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
+		node := n.nodes[ns.ID]
 		node.seq = ns.Seq
 		if node.battery != nil {
 			node.battery.RestoreState(*ns.Battery)
 		}
 	}
-	n.stats = st.Stats
-	n.lossBoost = st.LossBoost
-	n.jammed = st.Jammed
+	st.Nodes = nil // the nodes hold their state; retain none of the caller's
+	n.st = st
 	return nil
 }
 
-// SensorDeviceState is a SensorDevice's mutable state.
-//
-//bzlint:state ExportState RestoreState
+// SensorDeviceState is a SensorDevice's mutable state. In the device's own
+// copy the Sched slot stays unused — the scheduler holds its state — and
+// ExportState fills it.
 type SensorDeviceState struct {
 	SinceSample float64
-	Stuck       bool
-	StuckHeld   bool
-	StuckVal    float64
-	DriftPerS   float64
-	DriftBias   float64
-	Sched       *adaptive.SchedulerState // nil in fixed mode
+	// Fault-injection state (see internal/fault). A stuck channel latches
+	// the first reading taken after the fault lands; a drifting channel
+	// accumulates DriftPerS units of bias per second of simulated time,
+	// advanced per sample so the fault-free sampling path is untouched.
+	Stuck     bool
+	StuckHeld bool
+	StuckVal  float64
+	DriftPerS float64
+	DriftBias float64
+	Sched     *adaptive.SchedulerState // nil in fixed mode
 }
 
 // ExportState captures the sampling accumulator, fault-channel state, and
 // the adaptive scheduler (when present).
 func (d *SensorDevice) ExportState() (SensorDeviceState, error) {
-	st := SensorDeviceState{
-		SinceSample: d.sinceSample,
-		Stuck:       d.stuck,
-		StuckHeld:   d.stuckHeld,
-		StuckVal:    d.stuckVal,
-		DriftPerS:   d.driftPerS,
-		DriftBias:   d.driftBias,
-	}
+	st := d.st
 	if d.sched != nil {
 		ss, err := d.sched.ExportState()
 		if err != nil {
@@ -121,33 +124,23 @@ func (d *SensorDevice) RestoreState(st SensorDeviceState) error {
 	if (d.sched != nil) != (st.Sched != nil) {
 		return fmt.Errorf("wsn: device %q scheduling mode differs from snapshot", d.node.ID())
 	}
-	d.sinceSample = st.SinceSample
-	d.stuck = st.Stuck
-	d.stuckHeld = st.StuckHeld
-	d.stuckVal = st.StuckVal
-	d.driftPerS = st.DriftPerS
-	d.driftBias = st.DriftBias
 	if d.sched != nil {
 		if err := d.sched.RestoreState(*st.Sched); err != nil {
 			return fmt.Errorf("wsn: device %q: %w", d.node.ID(), err)
 		}
 	}
+	st.Sched = nil // the scheduler holds its state; retain none of the caller's
+	d.st = st
 	return nil
 }
 
 // PeriodicBroadcasterState is a PeriodicBroadcaster's mutable state.
-//
-//bzlint:state ExportState RestoreState
 type PeriodicBroadcasterState struct {
 	Since float64
 }
 
 // ExportState captures the period accumulator.
-func (p *PeriodicBroadcaster) ExportState() PeriodicBroadcasterState {
-	return PeriodicBroadcasterState{Since: p.since}
-}
+func (p *PeriodicBroadcaster) ExportState() PeriodicBroadcasterState { return p.st }
 
 // RestoreState overwrites the period accumulator.
-func (p *PeriodicBroadcaster) RestoreState(st PeriodicBroadcasterState) {
-	p.since = st.Since
-}
+func (p *PeriodicBroadcaster) RestoreState(st PeriodicBroadcasterState) { p.st = st }

@@ -518,3 +518,66 @@ func TestSnifferEmptyStats(t *testing.T) {
 		t.Error("fresh inter-arrival should be zero")
 	}
 }
+
+// TestNetworkRestoreRejectsBadNodeLists pins RestoreState's structure
+// checks: the node list must name every node exactly once, in the
+// strictly ascending ID order ExportState writes, with matching power
+// classes. A rejected list leaves the network untouched.
+func TestNetworkRestoreRejectsBadNodeLists(t *testing.T) {
+	build := func() *Network {
+		n, _ := newTestNetwork(t, DefaultConfig())
+		for _, add := range []struct {
+			id    NodeID
+			class PowerClass
+		}{{"a", PowerAC}, {"b", PowerBattery}, {"c", PowerBattery}} {
+			if _, err := n.AddNode(add.id, add.class); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	src := build()
+	src.nodes["a"].seq, src.nodes["b"].seq, src.nodes["c"].seq = 7, 8, 9
+	good := src.ExportState()
+
+	cases := []struct {
+		name string
+		edit func(st *NetworkState)
+		want string // "" = accepted
+	}{
+		{"as exported", func(*NetworkState) {}, ""},
+		{"duplicate id", func(st *NetworkState) { st.Nodes[2] = st.Nodes[1] }, "out of order"},
+		{"descending ids", func(st *NetworkState) { st.Nodes[1], st.Nodes[2] = st.Nodes[2], st.Nodes[1] }, "out of order"},
+		{"unknown id", func(st *NetworkState) { st.Nodes[2].ID = "d" }, "not in network"},
+		{"missing node", func(st *NetworkState) { st.Nodes = st.Nodes[:2] }, "snapshot has 2"},
+		{"power class", func(st *NetworkState) { st.Nodes[0].Battery = st.Nodes[1].Battery }, "power class"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := good
+			st.Nodes = append([]NodeState(nil), good.Nodes...)
+			tc.edit(&st)
+			dst := build()
+			err := dst.RestoreState(st)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("RestoreState: %v", err)
+				}
+				for _, id := range []NodeID{"a", "b", "c"} {
+					if got, want := dst.nodes[id].seq, src.nodes[id].seq; got != want {
+						t.Errorf("node %q seq = %d, want %d", id, got, want)
+					}
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreState: err = %v, want %q", err, tc.want)
+			}
+			for id, node := range dst.nodes {
+				if node.seq != 0 {
+					t.Errorf("rejected restore wrote node %q seq = %d", id, node.seq)
+				}
+			}
+		})
+	}
+}

@@ -33,10 +33,10 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# Static invariants: the six bzlint analyzers (determinism, hotpath,
-# floateq, deprecated, lockcheck, mutroute) plus the stale-waiver report
-# over the whole tree (DESIGN.md §7). Exit 1 on any unwaived diagnostic.
-# Snapshot completeness is checked by tests, not lint (DESIGN.md §7).
+# Static invariants: the four bzlint analyzers (determinism, hotpath,
+# floateq, mutroute) plus the stale-waiver report over the whole tree
+# (DESIGN.md §7). Exit 1 on any unwaived diagnostic. Snapshot completeness
+# and lock discipline are checked by tests, not lint (DESIGN.md §7).
 lint:
 	$(GO) run ./cmd/bzlint ./...
 
@@ -59,6 +59,7 @@ race-fault:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupMatchesIndependent$$' -fuzztime 10s -parallel 1 ./internal/adaptive
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRestoreMatchesStraightRun$$' -fuzztime 10s -parallel 1 ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzEventRequest$$' -fuzztime 10s -parallel 1 ./internal/twin
 
 # Every benchmark once — correctness of the benchmark harness, not timing.
 bench-smoke:

@@ -62,7 +62,10 @@ type Event struct {
 	Building int
 
 	// TC and DewC are the new outdoor dry bulb and dew point (°C) for
-	// Climate events.
+	// Climate events. Both must be finite and inside the Magnus range
+	// [psychro.MagnusMinC, psychro.MagnusMaxC] = [−45, 60] °C, and DewC
+	// must not exceed TC. Outside these bounds the psychrometrics are
+	// meaningless, and an extreme TC turns every zone's state to NaN.
 	TC, DewC float64
 
 	// Door is how long the door stays open for Door events.
@@ -78,6 +81,13 @@ type Event struct {
 func (e Event) Validate(buildings int) error {
 	switch e.Kind {
 	case EventClimate:
+		if !inMagnusRange(e.TC) || !inMagnusRange(e.DewC) {
+			return fmt.Errorf("fleet: climate event t_c=%g dew_c=%g outside [%g, %g] °C",
+				e.TC, e.DewC, psychro.MagnusMinC, psychro.MagnusMaxC)
+		}
+		if e.DewC > e.TC {
+			return fmt.Errorf("fleet: climate event dew point %g °C above dry bulb %g °C", e.DewC, e.TC)
+		}
 		return nil
 	case EventDoor:
 		if e.Building < 0 || e.Building >= buildings {
@@ -102,6 +112,12 @@ func (e Event) Validate(buildings int) error {
 		return nil
 	}
 	return fmt.Errorf("fleet: unknown event kind %d", int(e.Kind))
+}
+
+// inMagnusRange reports whether c (°C) is finite and inside the Magnus
+// formula's validity range. NaN fails both comparisons.
+func inMagnusRange(c float64) bool {
+	return c >= psychro.MagnusMinC && c <= psychro.MagnusMaxC
 }
 
 // AppliedEvent is one journal entry: the event plus the epoch boundary
@@ -134,26 +150,31 @@ func (f *Fleet) Journal() []AppliedEvent {
 	return append([]AppliedEvent(nil), f.journal...)
 }
 
+// takePending empties the event queue and returns what it held.
+func (f *Fleet) takePending() []Event {
+	f.evMu.Lock()
+	defer f.evMu.Unlock()
+	batch := f.pendingEv
+	f.pendingEv = nil
+	return batch
+}
+
+// record appends entries to the applied-event journal.
+func (f *Fleet) record(entries ...AppliedEvent) {
+	f.evMu.Lock()
+	defer f.evMu.Unlock()
+	f.journal = append(f.journal, entries...)
+}
+
 // drainEvents applies every queued event at the current epoch boundary
 // and journals it. Called single-threaded between epochs; the steady-state
 // fast path (nothing queued) performs no allocations.
 func (f *Fleet) drainEvents() error {
-	f.evMu.Lock()
-	if len(f.pendingEv) == 0 {
-		f.evMu.Unlock()
-		return nil
-	}
-	batch := f.pendingEv
-	f.pendingEv = nil
-	f.evMu.Unlock()
-
-	for _, ev := range batch {
+	for _, ev := range f.takePending() {
 		if err := f.applyNow(ev, f.ticks); err != nil {
 			return err
 		}
-		f.evMu.Lock()
-		f.journal = append(f.journal, AppliedEvent{Event: ev, Tick: f.ticks})
-		f.evMu.Unlock()
+		f.record(AppliedEvent{Event: ev, Tick: f.ticks})
 	}
 	return nil
 }

@@ -23,8 +23,6 @@ const defaultEpochTicks = 512
 // Fleet is N independent BubbleZERO buildings stepped in lockstep epochs,
 // sharded across a bounded worker pool. Within an epoch each shard runs
 // its buildings' engines one after another.
-//
-//bzlint:guards evMu pendingEv,journal
 type Fleet struct {
 	cfg       Config
 	shards    [][]*core.System // disjoint contiguous blocks of buildings
@@ -38,7 +36,8 @@ type Fleet struct {
 
 	// Live-mutation queue and journal (event.go). evMu guards both:
 	// Apply may race RunTicks, which drains the queue at epoch
-	// boundaries.
+	// boundaries. evMu is innermost: it is taken only in Apply, Journal,
+	// takePending and record, none of which takes another lock.
 	evMu      sync.Mutex
 	pendingEv []Event
 	journal   []AppliedEvent

@@ -386,6 +386,40 @@ func TestFleetClimateEventMatchesPerBuilding(t *testing.T) {
 	}
 }
 
+// TestEventValidateClimateBounds pins the climate event's input check:
+// both temperatures finite and inside the Magnus range, dew point at or
+// below the dry bulb. Each rejected case was accepted before the check
+// existed, and the first one drives every zone to NaN.
+func TestEventValidateClimateBounds(t *testing.T) {
+	cases := []struct {
+		name     string
+		tc, dewC float64
+		wantErr  string // substring; "" means valid
+	}{
+		{"typical", 33, 27, ""},
+		{"saturated", 25, 25, ""},
+		{"range edges", psychro.MagnusMaxC, psychro.MagnusMinC, ""},
+		{"huge dry bulb", 1e300, 20, "outside"},
+		{"below absolute zero", -300, -300, "outside"},
+		{"dry bulb above range", 60.5, 20, "outside"},
+		{"dew point below range", 20, -45.5, "outside"},
+		{"NaN dry bulb", math.NaN(), 20, "outside"},
+		{"infinite dew point", 20, math.Inf(-1), "outside"},
+		{"dew point above dry bulb", 20, 40, "above dry bulb"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := Event{Kind: EventClimate, TC: c.tc, DewC: c.dewC}.Validate(1)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("Validate: %v, want nil", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("Validate: %v, want error containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 func TestFleetMemoryBudget(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Shards = 1

@@ -78,8 +78,6 @@ func (f *Fleet) RestoreState(st State) error {
 		}
 	}
 	f.ticks = st.Ticks
-	f.evMu.Lock()
-	f.journal = append([]AppliedEvent(nil), st.Journal...)
-	f.evMu.Unlock()
+	f.record(st.Journal...)
 	return nil
 }

@@ -8,13 +8,9 @@ import (
 	"strings"
 )
 
-// Config scopes the per-package analyzers. Map keys come in two forms:
-// a bare package base name ("wsn"), or — for trees where a base name is
-// or may become ambiguous — an import-path suffix containing a slash
-// ("internal/trace"), which matches exactly the packages whose import
-// path equals the key or ends in "/"+key. A path-style key never matches
-// by base name, so a second package that happens to share a base name
-// cannot silently inherit the wrong analyzer set.
+// Config scopes the per-package analyzers. Map keys are package base
+// names ("wsn"); two packages sharing a base name are both selected, so a
+// collision can only widen a check, never narrow it.
 type Config struct {
 	// Deterministic lists the packages whose code must replay
 	// bit-identically from a seed: the determinism analyzer forbids wall
@@ -26,19 +22,13 @@ type Config struct {
 	// intentional (fixed-point caches, sentinel values); those sites
 	// carry //bzlint:allow floateq waivers.
 	FloatEq map[string]bool
-	// StaleAllow reports //bzlint:allow and //bzlint:ordered waivers that
-	// no longer suppress any diagnostic. A stale waiver is a hole in the
-	// policy: the code it excused is gone, but the excuse would still
-	// silence a future finding on that line.
-	StaleAllow bool
 }
 
 // DefaultConfig is the repository policy: the deterministic set is every
 // package on the seeded replay path (one stray time.Now() or map-order
 // dependence there silently breaks the golden Fig10 SHA), the float
 // comparison rule covers the same set plus psychro, whose exact-key
-// memos are the approved — and annotated — exception, and stale-waiver
-// reporting is on (CI deletes excuses that outlive their code).
+// memos are the approved — and annotated — exception.
 func DefaultConfig() Config {
 	det := map[string]bool{
 		"sim": true, "core": true, "wsn": true, "adaptive": true,
@@ -50,23 +40,7 @@ func DefaultConfig() Config {
 	for k := range det {
 		feq[k] = true
 	}
-	return Config{Deterministic: det, FloatEq: feq, StaleAllow: true}
-}
-
-// scopeHas reports whether a Config scope set selects pkg: bare keys
-// match the package base name, keys containing a slash match the import
-// path itself or a "/"-delimited suffix of it.
-func scopeHas(set map[string]bool, pkg *Package) bool {
-	if set[pkg.Name] {
-		return true
-	}
-	for k, on := range set {
-		if on && strings.Contains(k, "/") &&
-			(pkg.Path == k || strings.HasSuffix(pkg.Path, "/"+k)) {
-			return true
-		}
-	}
-	return false
+	return Config{Deterministic: det, FloatEq: feq}
 }
 
 // Diagnostic is one finding, carrying the position, the analyzer that
@@ -87,8 +61,6 @@ func (d Diagnostic) String() string {
 //	//bzlint:ordered <reason>              waives a map-range on the same or next line
 //	//bzlint:allow <analyzer> <reason>     waives that analyzer on the same or next line
 //	//bzlint:hotpath                       marks the function below as a hot-path root
-//	//bzlint:guards <mu> <field,...>       declares mu-guarded fields on the struct below (lockcheck)
-//	//bzlint:holds <mu>                    documents that the function below runs with mu held
 //	//bzlint:mutsetter <route>             marks the function below as a guarded mutation setter
 //	//bzlint:mutroute <route> <reason>     admits the function below to a mutation route
 //
@@ -130,17 +102,19 @@ type pass struct {
 	out  *[]Diagnostic
 }
 
-// directiveArity maps each declaration-annotation verb to its exact
-// operand count; -1 means "at least that many" (a trailing free-form
-// reason). ordered/allow/hotpath are handled separately.
+// directiveMinArgs maps each declaration-annotation verb to its operand
+// count: exact for mutsetter, a minimum for mutroute (whose trailing
+// reason is free-form). ordered/allow/hotpath are handled separately.
 var directiveMinArgs = map[string]int{
-	"guards":    2, // mu field,field
-	"holds":     1, // mu
 	"mutsetter": 1, // route
 	"mutroute":  2, // route reason...
 }
-var directiveExactArgs = map[string]bool{
-	"guards": true, "holds": true, "mutsetter": true,
+
+// wellFormed reports whether a declaration directive has the operand
+// count its verb requires.
+func wellFormed(verb string, args []string) bool {
+	min := directiveMinArgs[verb]
+	return len(args) == min || (verb == "mutroute" && len(args) > min)
 }
 
 // parseDirectives scans a file's comments, indexes waivers by line, and
@@ -183,18 +157,17 @@ func parseDirectives(p *pass, f *ast.File) *fileDirectives {
 				if len(args) != 0 {
 					p.emit(c.Pos(), "bzlint", "//bzlint:hotpath takes no operands", "put the marker on its own doc-comment line")
 				}
-			case "guards", "holds", "mutsetter", "mutroute":
-				// Consumed by the lockcheck/mutroute analyzers via
-				// declaration docs; validated here so a malformed annotation
-				// is a finding, not a silently inert comment.
-				min := directiveMinArgs[verb]
-				if len(args) < min || (directiveExactArgs[verb] && len(args) != min) {
+			case "mutsetter", "mutroute":
+				// Consumed by the mutroute analyzer via declaration docs;
+				// validated here so a malformed annotation is a finding, not
+				// a silently inert comment.
+				if !wellFormed(verb, args) {
 					p.emit(c.Pos(), "bzlint",
-						fmt.Sprintf("malformed //bzlint:%s directive (want %d operand(s))", verb, min),
+						fmt.Sprintf("malformed //bzlint:%s directive (want %d operand(s))", verb, directiveMinArgs[verb]),
 						directiveUsage(verb))
 				}
 			default:
-				p.emit(c.Pos(), "bzlint", fmt.Sprintf("unknown bzlint directive %q", text), "known directives: ordered, allow, hotpath, guards, holds, mutsetter, mutroute")
+				p.emit(c.Pos(), "bzlint", fmt.Sprintf("unknown bzlint directive %q", text), "known directives: ordered, allow, hotpath, mutsetter, mutroute")
 			}
 		}
 	}
@@ -203,10 +176,6 @@ func parseDirectives(p *pass, f *ast.File) *fileDirectives {
 
 func directiveUsage(verb string) string {
 	switch verb {
-	case "guards":
-		return "write //bzlint:guards <mutexField> <field,field,...>"
-	case "holds":
-		return "write //bzlint:holds <mutexField>"
 	case "mutsetter":
 		return "write //bzlint:mutsetter <route>"
 	case "mutroute":
@@ -228,8 +197,7 @@ func declDirectives(doc *ast.CommentGroup, verb string) [][]string {
 			continue
 		}
 		args := fields[1:]
-		min := directiveMinArgs[verb]
-		if len(args) < min || (directiveExactArgs[verb] && len(args) != min) {
+		if !wellFormed(verb, args) {
 			continue // parseDirectives already reported it
 		}
 		out = append(out, args)
@@ -281,7 +249,9 @@ func (p *pass) report(f *ast.File, pos token.Pos, analyzer, msg, hint string) {
 }
 
 // runStaleAllow reports waivers that suppressed nothing across the whole
-// run. Runs last: every analyzer must have had its chance to consume
+// run. A stale waiver is a hole in the policy: the code it excused is
+// gone, but the excuse would still silence a future finding on that
+// line. Runs last: every analyzer must have had its chance to consume
 // them first.
 func runStaleAllow(passes map[*Package]*pass) {
 	for _, p := range passes {
@@ -306,10 +276,12 @@ func runStaleAllow(passes map[*Package]*pass) {
 	}
 }
 
-// Run executes the analyzer suite over pkgs and returns the surviving
-// diagnostics in file/line order. The call-graph analyzers (hotpath,
-// deprecated, lockcheck, mutroute) are built over the whole package set,
-// so declarations in one package constrain call sites in another.
+// Run executes the analyzer suite — determinism and floateq on the
+// packages cfg selects, hotpath and mutroute everywhere — followed by the
+// stale-waiver report, and returns the surviving diagnostics in file/line
+// order. The call-graph analyzers (hotpath, mutroute) are built over the
+// whole package set, so declarations in one package constrain call sites
+// in another.
 func Run(fset *token.FileSet, pkgs []*Package, cfg Config) []Diagnostic {
 	var out []Diagnostic
 	passes := make(map[*Package]*pass, len(pkgs))
@@ -322,20 +294,16 @@ func Run(fset *token.FileSet, pkgs []*Package, cfg Config) []Diagnostic {
 	}
 	for _, pkg := range pkgs {
 		p := passes[pkg]
-		if scopeHas(cfg.Deterministic, pkg) {
+		if cfg.Deterministic[pkg.Name] {
 			runDeterminism(p)
 		}
-		if scopeHas(cfg.FloatEq, pkg) {
+		if cfg.FloatEq[pkg.Name] {
 			runFloatEq(p)
 		}
 	}
 	runHotpath(pkgs, passes)
-	runDeprecated(pkgs, passes)
-	runLockcheck(pkgs, passes)
 	runMutroute(pkgs, passes)
-	if cfg.StaleAllow {
-		runStaleAllow(passes)
-	}
+	runStaleAllow(passes)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {

@@ -18,7 +18,7 @@ import (
 
 // fixtureConfig mirrors DefaultConfig's shape over the fixture package
 // names: sim and wsn are deterministic, floatcmp is float-compare
-// checked. The hotpath and deprecated analyzers are unconditional.
+// checked. The hotpath and mutroute analyzers are unconditional.
 func fixtureConfig() Config {
 	return Config{
 		Deterministic: map[string]bool{"sim": true, "wsn": true, "baddir": true},
@@ -129,14 +129,6 @@ func TestFloatEqGolden(t *testing.T) {
 	checkGolden(t, "floatcmp", runFixture(t, "floatcmp"))
 }
 
-func TestDeprecatedGolden(t *testing.T) {
-	checkGolden(t, "oldapi", runFixture(t, "oldapi"))
-}
-
-func TestLockcheckGolden(t *testing.T) {
-	checkGolden(t, "lockcheck", runFixture(t, "lockcheck"))
-}
-
 // TestMutrouteGolden loads the setter and caller halves of the fixture
 // as separate packages: the analyzer must see the cross-package call
 // graph exactly as `make lint` sees the real tree.
@@ -174,7 +166,6 @@ func TestStaleAllow(t *testing.T) {
 	cfg := Config{
 		Deterministic: map[string]bool{"stale": true},
 		FloatEq:       map[string]bool{"stale": true},
-		StaleAllow:    true,
 	}
 	var stale []Diagnostic
 	for _, d := range Run(l.Fset, []*Package{pkg}, cfg) {
@@ -193,75 +184,14 @@ func TestStaleAllow(t *testing.T) {
 	if !strings.Contains(stale[1].Message, "//bzlint:allow floateq waiver suppresses no diagnostic") {
 		t.Errorf("stale[1] = %q, want stale-allow report", stale[1].Message)
 	}
-
-	// With StaleAllow off the same package is clean: the consumed waiver
-	// suppresses its map range and nothing else fires.
-	cfg.StaleAllow = false
-	if diags := Run(l.Fset, []*Package{pkg}, cfg); len(diags) != 0 {
-		t.Errorf("StaleAllow=false: got %d diagnostics %v, want 0", len(diags), diags)
-	}
-}
-
-// TestConfigScopeByPathSuffix pins the base-name collision fix: two
-// packages both named "trace" at different import paths must be
-// scopeable independently with a path-suffix key, while a bare name key
-// still matches both.
-func TestConfigScopeByPathSuffix(t *testing.T) {
-	load := func(t *testing.T) (*Loader, []*Package) {
-		t.Helper()
-		l, err := NewLoader(".")
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := l.LoadDir(filepath.Join("testdata", "src", "scope", "trace"), "bzlint.test/scope/trace")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := l.LoadDir(filepath.Join("testdata", "src", "scope2", "trace"), "bzlint.test/scope2/trace")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l, []*Package{a, b}
-	}
-
-	t.Run("path-suffix key scopes one package", func(t *testing.T) {
-		l, pkgs := load(t)
-		cfg := Config{Deterministic: map[string]bool{"scope/trace": true}}
-		diags := Run(l.Fset, pkgs, cfg)
-		if len(diags) != 1 {
-			t.Fatalf("got %d diagnostics %v, want 1", len(diags), diags)
-		}
-		if !strings.Contains(filepath.ToSlash(diags[0].Pos.Filename), "src/scope/trace/") {
-			t.Errorf("diagnostic in %s, want the scope/trace package only", diags[0].Pos.Filename)
-		}
-	})
-
-	t.Run("bare name key matches both", func(t *testing.T) {
-		l, pkgs := load(t)
-		cfg := Config{Deterministic: map[string]bool{"trace": true}}
-		if diags := Run(l.Fset, pkgs, cfg); len(diags) != 2 {
-			t.Fatalf("got %d diagnostics %v, want 2 (one per package)", len(diags), diags)
-		}
-	})
-
-	t.Run("full path key matches exactly", func(t *testing.T) {
-		l, pkgs := load(t)
-		cfg := Config{Deterministic: map[string]bool{"bzlint.test/scope2/trace": true}}
-		diags := Run(l.Fset, pkgs, cfg)
-		if len(diags) != 1 {
-			t.Fatalf("got %d diagnostics %v, want 1", len(diags), diags)
-		}
-		if !strings.Contains(filepath.ToSlash(diags[0].Pos.Filename), "src/scope2/trace/") {
-			t.Errorf("diagnostic in %s, want the scope2/trace package only", diags[0].Pos.Filename)
-		}
-	})
 }
 
 // TestMalformedDirectives pins the meta-diagnostics: a waiver without a
-// reason and an unknown directive verb are themselves reported, so a
-// typo'd waiver cannot silently disable a check. (These land on the
-// directive's own comment line, which a same-line want comment cannot
-// annotate, hence the direct assertions.)
+// reason and an unknown directive verb — including the retired guards and
+// holds verbs — are themselves reported, so a typo'd waiver cannot
+// silently disable a check. (These land on the directive's own comment
+// line, which a same-line want comment cannot annotate, hence the direct
+// assertions.)
 func TestMalformedDirectives(t *testing.T) {
 	diags := runFixture(t, "baddir")
 	var meta []string
@@ -270,14 +200,19 @@ func TestMalformedDirectives(t *testing.T) {
 			meta = append(meta, d.Message)
 		}
 	}
-	if len(meta) != 2 {
-		t.Fatalf("got %d meta-diagnostics %q, want 2", len(meta), meta)
+	want := []string{
+		"without a reason",
+		`unknown bzlint directive "//bzlint:frobnicate`,
+		`unknown bzlint directive "//bzlint:guards`,
+		`unknown bzlint directive "//bzlint:holds`,
 	}
-	if !strings.Contains(meta[0], "without a reason") {
-		t.Errorf("meta[0] = %q, want reasonless-ordered complaint", meta[0])
+	if len(meta) != len(want) {
+		t.Fatalf("got %d meta-diagnostics %q, want %d", len(meta), meta, len(want))
 	}
-	if !strings.Contains(meta[1], "unknown bzlint directive") {
-		t.Errorf("meta[1] = %q, want unknown-directive complaint", meta[1])
+	for i, w := range want {
+		if !strings.Contains(meta[i], w) {
+			t.Errorf("meta[%d] = %q, want it to contain %q", i, meta[i], w)
+		}
 	}
 	// The reasonless waiver must not suppress the map-range diagnostic.
 	found := false

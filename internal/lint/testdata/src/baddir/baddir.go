@@ -1,7 +1,8 @@
 // Package baddir is a malformed-directive fixture: a reasonless
-// //bzlint:ordered and an unknown directive verb each produce a
+// //bzlint:ordered and each unknown directive verb produce a
 // meta-diagnostic, and the reasonless waiver does not suppress the
-// map-range diagnostic it sits on.
+// map-range diagnostic it sits on. The guards and holds verbs belonged to
+// a retired lock analyzer; a leftover use must be reported, not ignored.
 package baddir
 
 func keys(m map[string]int) []string {
@@ -15,3 +16,9 @@ func keys(m map[string]int) []string {
 
 //bzlint:frobnicate not a directive
 func other() {}
+
+//bzlint:guards mu n
+type counter struct{ n int }
+
+//bzlint:holds mu
+func (c *counter) bump() { c.n++ }

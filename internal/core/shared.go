@@ -25,26 +25,13 @@ func NewShared(cfg Config) (*Shared, error) {
 // Config returns a copy of the shared configuration.
 func (sh *Shared) Config() Config { return sh.cfg }
 
-// NewSystem assembles one System over the shared configuration. Options
-// that edit the Config (WithTracePeriod, WithLossFloor, …) force a
-// private validated copy for this instance; the per-instance overrides
-// WithSeed and WithOutdoor do not, so a homogeneous fleet with varied
+// NewSystem assembles one System over the shared configuration. Every
+// option leaves the Config untouched, so a homogeneous fleet with varied
 // seeds and climates keeps exactly one Config in memory.
 func (sh *Shared) NewSystem(opts ...Option) (*System, error) {
 	var o sysOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfgp := &sh.cfg
-	if len(o.cfgEdits) > 0 {
-		cfg := sh.cfg
-		for _, edit := range o.cfgEdits {
-			edit(&cfg)
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		cfgp = &cfg
-	}
-	return assemble(cfgp, &o)
+	return assemble(&sh.cfg, &o)
 }

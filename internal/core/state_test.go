@@ -52,8 +52,6 @@ func (p *perturber) walk(v, fresh reflect.Value) {
 				continue // ring retention: restore sizes the ring from it
 			case v.Type() == reflect.TypeOf(sim.StreamState{}) && f.Name == "PCG":
 				continue // RNG bytes: a PCG marshal format, not free numbers
-			case v.Type() == reflect.TypeOf(sim.EntrySched{}) && f.Name == "UntilDue" && v.Field(i).Uint() == 0:
-				continue // zero exactly where the registration has no fixed-cadence counter to hold it
 			}
 			var ff reflect.Value
 			if fresh.IsValid() {

@@ -23,8 +23,8 @@ import (
 // System is the assembled BubbleZERO deployment.
 type System struct {
 	// cfg points either at a Shared handle's single validated Config
-	// (aliased by every fleet member built from it) or at this instance's
-	// private copy (when an option edited it). It is read-only either way.
+	// (aliased by every fleet member built from it) or, for NewSystem, at
+	// this instance's own copy. It is read-only either way.
 	cfg *Config
 
 	engine *sim.Engine
@@ -98,21 +98,16 @@ func openTraceSeries(rec *trace.Recorder) traceSeries {
 	return ts
 }
 
-// NewSystem assembles and wires the full deployment. Options are applied
-// in order: config-editing options (WithLossFloor, WithTracePeriod, …)
-// mutate cfg before validation, WithSeed/WithOutdoor override the seed
-// and climate boundary per instance, WithRecorder substitutes the trace
-// recorder, and WithFaultPlan schedules fault injections on the timeline
-// and arms the degradation watchdog. Fleets assembling many Systems from
-// one configuration should validate it once via NewShared and build
-// through Shared.NewSystem instead.
+// NewSystem assembles and wires the full deployment. WithSeed/WithOutdoor
+// override the seed and climate boundary per instance, and WithFaultPlan
+// schedules fault injections on the timeline and arms the degradation
+// watchdog. Fleets assembling many Systems from one configuration should
+// validate it once via NewShared and build through Shared.NewSystem
+// instead.
 func NewSystem(cfg Config, opts ...Option) (*System, error) {
 	var o sysOpts
 	for _, opt := range opts {
 		opt(&o)
-	}
-	for _, edit := range o.cfgEdits {
-		edit(&cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -190,10 +185,7 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 		return nil, err
 	}
 
-	rec := o.rec
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
+	rec := trace.NewRecorder()
 	s := &System{
 		cfg:         cfg,
 		engine:      engine,
@@ -238,11 +230,11 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 	// (its Step was a no-op on the other ticks). The controllers, glue,
 	// and room integrate over dt every tick and stay on the always path.
 	//
-	// Devices register faultable so a fault plan can suspend and resume
-	// them (KindMoteOffline); their registrations are indexed by node id.
+	// Device registrations are indexed by node id so a fault plan can
+	// suspend and resume them (KindMoteOffline).
 	s.deviceReg = make(map[wsn.NodeID]*sim.Registration, len(s.devices))
 	for _, d := range s.devices {
-		s.deviceReg[d.Node().ID()] = engine.Register(d, sim.WithFaultable())
+		s.deviceReg[d.Node().ID()] = engine.Register(d)
 	}
 	for _, b := range s.broadcasters {
 		engine.Register(b)

@@ -14,6 +14,10 @@ import (
 // The experiment horizons here are shortened from the paper's five hours
 // to keep the suite fast; the assertions target shape, not exact values.
 
+// testSuite serves every test in the package, so Figures 12–15 at one
+// seed and horizon share a single scenario simulation, as in the report.
+var testSuite = NewSuite(0)
+
 func TestFig10ReproducesHeadline(t *testing.T) {
 	r, err := Fig10(context.Background(), 1)
 	if err != nil {
@@ -139,7 +143,7 @@ func TestFig12BitsMatchFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Fig12(context.Background(), fx.Seed, d, nil)
+	r, err := testSuite.Fig12(context.Background(), fx.Seed, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestFig12BitsMatchFixture(t *testing.T) {
 }
 
 func TestFig12ShapeRisingAndSaturating(t *testing.T) {
-	r, err := Fig12(context.Background(), 1, 2*time.Hour, []int{5, 40})
+	r, err := testSuite.Fig12(context.Background(), 1, 2*time.Hour, []int{5, 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestFig12ShapeRisingAndSaturating(t *testing.T) {
 }
 
 func TestFig13AccuracyStabilisesHigh(t *testing.T) {
-	r, err := Fig13(context.Background(), 1, 2*time.Hour)
+	r, err := testSuite.Fig13(context.Background(), 1, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,7 @@ func TestFig13AccuracyStabilisesHigh(t *testing.T) {
 }
 
 func TestFig14DetectionWithinSeconds(t *testing.T) {
-	r, err := Fig14(context.Background(), 1, 2*time.Hour)
+	r, err := testSuite.Fig14(context.Background(), 1, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestFig14DetectionWithinSeconds(t *testing.T) {
 }
 
 func TestFig15LifetimesAndCDF(t *testing.T) {
-	r, err := Fig15(context.Background(), 1, 2*time.Hour)
+	r, err := testSuite.Fig15(context.Background(), 1, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func TestFig15LifetimesAndCDF(t *testing.T) {
 }
 
 func TestAblationSupplyTempCrossover(t *testing.T) {
-	pts, err := AblationSupplyTemp(context.Background(), 1, []float64{12, 18})
+	pts, err := testSuite.AblationSupplyTemp(context.Background(), 1, []float64{12, 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +269,7 @@ func TestAblationSupplyTempCrossover(t *testing.T) {
 }
 
 func TestAblationNoCouplingShowsCondensation(t *testing.T) {
-	r, err := AblationNoCoupling(context.Background(), 1)
+	r, err := testSuite.AblationNoCoupling(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +283,7 @@ func TestAblationNoCouplingShowsCondensation(t *testing.T) {
 }
 
 func TestAblationDesyncReducesCollisions(t *testing.T) {
-	r, err := AblationDesync(context.Background(), 1, 15*time.Minute)
+	r, err := testSuite.AblationDesync(context.Background(), 1, 15*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +297,7 @@ func TestAblationDesyncReducesCollisions(t *testing.T) {
 }
 
 func TestAblationHistogramReset(t *testing.T) {
-	r, err := AblationHistogramReset(context.Background(), 1, 2*time.Hour, 40*time.Minute)
+	r, err := testSuite.AblationHistogramReset(context.Background(), 1, 2*time.Hour, 40*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

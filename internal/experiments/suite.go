@@ -17,14 +17,15 @@ const scenarioCacheEntries = 4
 // Suite bundles the concurrency substrate for the experiment battery: a
 // bounded worker pool for fanning out independent runs and a singleflight
 // scenario cache so every figure that replays the §V-C workload shares
-// one simulation per (seed, duration).
+// one simulation per (seed, duration). Callers that want Figures 12–15 to
+// share that simulation use one Suite for all of them.
 //
 // Results are deterministic at any pool width: jobs write into per-index
 // slots, each simulation owns its RNG streams, and fleet aggregations
 // iterate devices in sorted order.
 type Suite struct {
 	pool      *runner.Pool
-	scenarios *runner.ScenarioCache[*NetScenario]
+	scenarios *runner.Cache[runner.ScenarioKey, *NetScenario]
 }
 
 // NewSuite returns a suite with the given worker count (<= 0 selects
@@ -32,14 +33,9 @@ type Suite struct {
 func NewSuite(workers int) *Suite {
 	return &Suite{
 		pool:      runner.NewPool(workers),
-		scenarios: runner.NewScenarioCache[*NetScenario](scenarioCacheEntries),
+		scenarios: runner.NewCache[runner.ScenarioKey, *NetScenario](scenarioCacheEntries),
 	}
 }
-
-// Default is the suite behind the package-level experiment functions. It
-// spans the whole process so repeated figure calls (benchmarks, the
-// cmd/experiments binary, tests) share scenario simulations.
-var Default = NewSuite(0)
 
 // Pool returns the suite's worker pool.
 func (s *Suite) Pool() *runner.Pool { return s.pool }
@@ -48,7 +44,10 @@ func (s *Suite) Pool() *runner.Pool { return s.pool }
 // the simulation at most once per key across all concurrent callers. The
 // scenario is shared: callers must treat it as read-only.
 func (s *Suite) NetScenario(ctx context.Context, seed uint64, d time.Duration) (*NetScenario, error) {
-	return s.scenarios.Get(ctx, seed, d, RunNetScenario)
+	key := runner.ScenarioKey{Seed: seed, Duration: d}
+	return s.scenarios.Do(ctx, key, func(ctx context.Context) (*NetScenario, error) {
+		return RunNetScenario(ctx, seed, d)
+	})
 }
 
 // CachedScenarios returns how many scenarios the suite currently retains.
@@ -57,9 +56,11 @@ func (s *Suite) CachedScenarios() int { return s.scenarios.Len() }
 // PurgeScenarios drops every retained scenario, releasing their memory.
 func (s *Suite) PurgeScenarios() { s.scenarios.Purge() }
 
-// Fig12 is the N-selection study against the suite's cached scenario.
-// Each device stream is replayed once, through every histogram size in
-// lockstep, with the devices fanned across the pool.
+// Fig12 replays the cached scenario's recorded sensor streams through
+// schedulers of varying histogram size and scores each against the
+// exact-clustering ground truth. Each device stream is replayed once,
+// through every histogram size in lockstep, with the devices fanned
+// across the pool.
 func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []int) (*Fig12Result, error) {
 	if len(ns) == 0 {
 		ns = []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 70}
@@ -85,7 +86,8 @@ func (s *Suite) Fig12(ctx context.Context, seed uint64, d time.Duration, ns []in
 	return &Fig12Result{Scenario: sc, Points: pts}, nil
 }
 
-// Fig13 extracts the accuracy trajectory from the cached scenario.
+// Fig13 runs (or reuses, via the scenario cache) the event workload and
+// extracts the accuracy trajectory.
 func (s *Suite) Fig13(ctx context.Context, seed uint64, d time.Duration) (*Fig13Result, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {
@@ -94,8 +96,8 @@ func (s *Suite) Fig13(ctx context.Context, seed uint64, d time.Duration) (*Fig13
 	return Fig13FromScenario(sc), nil
 }
 
-// Fig14 extracts one device's adaptation behaviour from the cached
-// scenario.
+// Fig14 runs (or reuses, via the scenario cache) the event workload and
+// extracts one device's adaptation behaviour.
 func (s *Suite) Fig14(ctx context.Context, seed uint64, d time.Duration) (*Fig14Result, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {
@@ -104,9 +106,9 @@ func (s *Suite) Fig14(ctx context.Context, seed uint64, d time.Duration) (*Fig14
 	return Fig14FromScenario(sc), nil
 }
 
-// Fig15 extracts the T_snd distribution from the cached scenario and runs
-// the (uncached, one-hour) fixed-mode baseline for the lifetime
-// comparison.
+// Fig15 runs (or reuses, via the scenario cache) the adaptive workload,
+// plus a short uncached fixed-mode run to measure the baseline drain
+// rate, and projects battery lifetimes.
 func (s *Suite) Fig15(ctx context.Context, seed uint64, d time.Duration) (*Fig15Result, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {
@@ -115,7 +117,10 @@ func (s *Suite) Fig15(ctx context.Context, seed uint64, d time.Duration) (*Fig15
 	return Fig15FromScenario(ctx, sc, seed)
 }
 
-// AblationSupplyTemp fans the per-temperature steady-state runs across
+// AblationSupplyTemp sweeps the radiant supply-water temperature,
+// demonstrating the paper's central design argument: warmer water means
+// less lift, less exergy, and higher COP — until the panels can no longer
+// move enough heat. The per-temperature steady-state runs fan out across
 // the pool; each run derives its own system, so results are independent
 // of worker count.
 func (s *Suite) AblationSupplyTemp(ctx context.Context, seed uint64, temps []float64) ([]SupplyTempPoint, error) {
@@ -137,7 +142,10 @@ func (s *Suite) AblationSupplyTemp(ctx context.Context, seed uint64, temps []flo
 	return out, nil
 }
 
-// AblationNoCoupling runs the guarded and unguarded systems concurrently.
+// AblationNoCoupling runs the system with and without the condensation
+// guard, the two arms concurrently. The decomposed design only works
+// because the modules collaborate; removing the coupling wets the panels
+// within minutes.
 func (s *Suite) AblationNoCoupling(ctx context.Context, seed uint64) (*NoCouplingResult, error) {
 	var res NoCouplingResult
 	err := s.pool.Run(ctx,
@@ -157,8 +165,8 @@ func (s *Suite) AblationNoCoupling(ctx context.Context, seed uint64) (*NoCouplin
 	return &res, nil
 }
 
-// AblationDesync runs the desynchronised and random-offset systems
-// concurrently.
+// AblationDesync measures collision counts with and without the AC
+// schedule desynchronisation, the two arms concurrently.
 func (s *Suite) AblationDesync(ctx context.Context, seed uint64, d time.Duration) (*DesyncResult, error) {
 	var res DesyncResult
 	err := s.pool.Run(ctx,
@@ -178,8 +186,10 @@ func (s *Suite) AblationDesync(ctx context.Context, seed uint64, d time.Duration
 	return &res, nil
 }
 
-// AblationHistogramReset replays the cached scenario with and without
-// periodic histogram resets, the two replays in parallel.
+// AblationHistogramReset replays the cached scenario with and without a
+// periodic histogram reset, the two replays in parallel. The paper resets
+// U_i weekly "to eliminate approximation errors cumulated in the past
+// week"; over the simulated horizon the effect is small but measurable.
 func (s *Suite) AblationHistogramReset(ctx context.Context, seed uint64, d time.Duration, resetEvery time.Duration) (*HistogramResetResult, error) {
 	sc, err := s.NetScenario(ctx, seed, d)
 	if err != nil {

@@ -103,33 +103,3 @@ type ScenarioKey struct {
 	Seed     uint64
 	Duration time.Duration
 }
-
-// ScenarioCache memoizes scenario results keyed by (seed, duration). V is
-// the scenario result type; it is a type parameter so the runner does not
-// import the experiment packages it serves.
-type ScenarioCache[V any] struct {
-	cache Cache[ScenarioKey, V]
-}
-
-// NewScenarioCache returns a scenario cache bounded to maxEntries
-// scenarios (<= 0 for unbounded). Scenario results hold every recorded
-// sample of a multi-hour run, so the bound is the cache's memory budget.
-func NewScenarioCache[V any](maxEntries int) *ScenarioCache[V] {
-	return &ScenarioCache[V]{cache: Cache[ScenarioKey, V]{
-		entries: make(map[ScenarioKey]*flight[V]), max: maxEntries,
-	}}
-}
-
-// Get returns the memoized scenario for (seed, d), running fn at most once
-// per key across all concurrent callers.
-func (c *ScenarioCache[V]) Get(ctx context.Context, seed uint64, d time.Duration, fn func(ctx context.Context, seed uint64, d time.Duration) (V, error)) (V, error) {
-	return c.cache.Do(ctx, ScenarioKey{Seed: seed, Duration: d}, func(ctx context.Context) (V, error) {
-		return fn(ctx, seed, d)
-	})
-}
-
-// Len returns the number of retained scenarios.
-func (c *ScenarioCache[V]) Len() int { return c.cache.Len() }
-
-// Purge drops every retained scenario.
-func (c *ScenarioCache[V]) Purge() { c.cache.Purge() }

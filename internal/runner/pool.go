@@ -37,13 +37,10 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the configured worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run executes the jobs concurrently on at most Workers goroutines and
-// waits for all of them. The first error cancels the context handed to the
-// remaining jobs; jobs not yet started are skipped once an error is
-// recorded. The first error (in completion order) is returned.
+// Run executes the jobs concurrently on at most the pool's worker count
+// of goroutines and waits for all of them. The first error cancels the
+// context handed to the remaining jobs; jobs not yet started are skipped
+// once an error is recorded. The first error (in completion order) is returned.
 func (p *Pool) Run(ctx context.Context, jobs ...Job) error {
 	if len(jobs) == 0 {
 		return nil

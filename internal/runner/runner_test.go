@@ -236,10 +236,10 @@ func TestCachePurge(t *testing.T) {
 }
 
 func TestScenarioCacheKeyedBySeedAndDuration(t *testing.T) {
-	c := NewScenarioCache[string](0)
+	c := NewCache[ScenarioKey, string](0)
 	var runs atomic.Int32
 	get := func(seed uint64, d time.Duration) string {
-		v, err := c.Get(context.Background(), seed, d, func(_ context.Context, seed uint64, d time.Duration) (string, error) {
+		v, err := c.Do(context.Background(), ScenarioKey{Seed: seed, Duration: d}, func(context.Context) (string, error) {
 			runs.Add(1)
 			return fmt.Sprintf("%d/%v", seed, d), nil
 		})

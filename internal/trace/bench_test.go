@@ -35,17 +35,3 @@ func BenchmarkSeriesAppendPregrown(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRecorderRecord measures the convenience string-keyed path for
-// contrast: every sample pays a map lookup on the series name. Hot loops
-// should Open once and Append instead.
-func BenchmarkRecorderRecord(b *testing.B) {
-	r := NewRecorder()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Record("bench", benchT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -109,8 +109,8 @@ func TestWriteExactCoversRingSeries(t *testing.T) {
 	}
 }
 
-// TestRecorderRecordZeroAlloc pins the Record hot path: through the
-// string-keyed convenience API, a pre-grown unbounded series and a
+// TestRecorderRecordZeroAlloc pins the string-keyed append path,
+// Recorder.Series(name).Append: a pre-grown unbounded series and a
 // retained ring series must both append with zero allocations per call —
 // the ring by reusing its slots, the chunked series from capacity
 // reserved by Grow. A regression here (a new box, a map rehash on the
@@ -123,13 +123,13 @@ func TestRecorderRecordZeroAlloc(t *testing.T) {
 	grown.Grow(rounds + 1)
 	i := 0
 	allocs := testing.AllocsPerRun(rounds, func() {
-		if err := r.Record("grown", retT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
+		if err := r.Series("grown").Append(retT0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Record on a pre-grown series allocates %.2f per op, want 0", allocs)
+		t.Errorf("Series(name).Append on a pre-grown series allocates %.2f per op, want 0", allocs)
 	}
 
 	ring := r.Series("ring")
@@ -138,12 +138,12 @@ func TestRecorderRecordZeroAlloc(t *testing.T) {
 	appendN(t, ring, 0, 200)
 	j := 200
 	allocs = testing.AllocsPerRun(rounds, func() {
-		if err := r.Record("ring", retT0.Add(time.Duration(j)*time.Second), float64(j)); err != nil {
+		if err := r.Series("ring").Append(retT0.Add(time.Duration(j)*time.Second), float64(j)); err != nil {
 			t.Fatal(err)
 		}
 		j++
 	})
 	if allocs != 0 {
-		t.Errorf("Record on a retained ring series allocates %.2f per op, want 0 (slot reuse)", allocs)
+		t.Errorf("Series(name).Append on a retained ring series allocates %.2f per op, want 0 (slot reuse)", allocs)
 	}
 }

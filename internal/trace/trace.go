@@ -342,7 +342,7 @@ type Recorder struct {
 	order  []string
 	series map[string]*Series
 
-	// last memoizes the most recently resolved series so Record loops
+	// last memoizes the most recently resolved series so Series loops
 	// that hit one series (or alternate slowly between a few) skip the
 	// map lookup; the common repeat compare is a pointer-equal string.
 	lastName string
@@ -380,11 +380,6 @@ func (r *Recorder) Names() []string {
 	out := make([]string, len(r.order))
 	copy(out, r.order)
 	return out
-}
-
-// Record appends a sample to the named series, creating it if necessary.
-func (r *Recorder) Record(name string, at time.Time, v float64) error {
-	return r.Series(name).Append(at, v)
 }
 
 // WriteCSV renders the named series as aligned CSV columns sampled at the

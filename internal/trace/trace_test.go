@@ -148,7 +148,7 @@ func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	for i := 0; i <= 4; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
-		if err := r.Record("temp", at, 25+float64(i)); err != nil {
+		if err := r.Series("temp").Append(at, 25+float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

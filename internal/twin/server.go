@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -374,8 +375,18 @@ type queryResponse struct {
 	Points   []queryPoint `json:"points"`
 }
 
+// maxQueryBuckets bounds the buckets one /query window may ask for: each
+// is computed while the request holds the fleet's View lock.
+const maxQueryBuckets = 1 << 16
+
+// maxWindowS is the magnitude (in seconds) past which an offset no longer
+// fits a time.Duration.
+const maxWindowS = float64(math.MaxInt64) / float64(time.Second)
+
 // parseWindow extracts the from_s/to_s/step_s offsets (seconds since the
-// simulated start) shared by the query and CSV paths.
+// simulated start) shared by the query and CSV paths, rejecting offsets
+// that are not finite durations and windows of more than maxQueryBuckets
+// buckets.
 func parseWindow(r *http.Request, start time.Time) (from, to time.Time, step time.Duration, err error) {
 	q := r.URL.Query()
 	parse := func(key string) (float64, error) {
@@ -386,6 +397,9 @@ func parseWindow(r *http.Request, start time.Time) (from, to time.Time, step tim
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", key, err)
+		}
+		if math.IsNaN(v) || math.Abs(v) >= maxWindowS {
+			return 0, fmt.Errorf("%s: %v s is outside the duration range", key, v)
 		}
 		return v, nil
 	}
@@ -400,6 +414,10 @@ func parseWindow(r *http.Request, start time.Time) (from, to time.Time, step tim
 	stepS, err := parse("step_s")
 	if err != nil {
 		return from, to, step, err
+	}
+	if stepS > 0 && (toS-fromS)/stepS >= maxQueryBuckets {
+		return from, to, step, fmt.Errorf("window [%v, %v] s at step %v s exceeds %d buckets",
+			fromS, toS, stepS, maxQueryBuckets)
 	}
 	return start.Add(secondsToDuration(fromS)), start.Add(secondsToDuration(toS)), secondsToDuration(stepS), nil
 }

@@ -376,7 +376,18 @@ func TestServerQueryEndpoints(t *testing.T) {
 		"/twins/" + id + "/query?series=zzz&from_s=0&to_s=10&step_s=1":         http.StatusNotFound,
 		"/twins/" + id + "/query?series=" + name:                               http.StatusBadRequest,
 		"/twins/" + id + "/query?series=" + name + "&from_s=9&to_s=1&step_s=1": http.StatusBadRequest,
-		"/twins/" + id + "/series?building=99":                                 http.StatusBadRequest,
+		// Windows are bounded: non-finite or out-of-range offsets and
+		// windows of more than maxQueryBuckets buckets answer 400, on the
+		// JSON and CSV paths alike.
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=600&step_s=0.001":            http.StatusBadRequest,
+		"/twins/" + id + "/query?format=csv&series=" + name + "&from_s=0&to_s=600&step_s=0.005": http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=65535&step_s=1":              http.StatusOK,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=65536&step_s=1":              http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=NaN&step_s=60":               http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=%2BInf&step_s=60":            http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=1e10&step_s=60":              http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=600&step_s=1e300":            http.StatusBadRequest,
+		"/twins/" + id + "/series?building=99":                                                  http.StatusBadRequest,
 	} {
 		resp, err := client.Get(ts.URL + path)
 		if err != nil {

@@ -107,20 +107,19 @@ func BenchmarkNetworkStep(b *testing.B) {
 
 // TestSystemTickZeroAllocWithFaultPlan pins the steady-state tick to
 // zero per-tick allocations while a fault plan is armed and one of its
-// outages is live: the suspended-entry scheduling path, the watchdog the
+// outages is live: the suspended-entry skip, the watchdog the
 // plan arms, and the degradation bookkeeping must not add per-tick
 // garbage. Each measured call covers a 100-tick chunk; the allowance of
 // 10 per chunk absorbs the per-call Env header and the rare amortized
-// events profiling attributes the residue to (histogram rescale,
-// due-wheel bucket growth, trace chunk linking — ~2 per chunk in
-// practice), while a single new allocation on the per-tick path shows
+// events profiling attributes the residue to (histogram rescale, trace
+// chunk linking — ~2 per chunk in practice), while a single new allocation on the per-tick path shows
 // up as 100+ and fails hard.
 func TestSystemTickZeroAllocWithFaultPlan(t *testing.T) {
 	plan := fault.MustPlan(
 		// Injected and cleared during warmup: exercises the suspend and
 		// resume transitions before measurement starts.
 		fault.Jam(2*time.Minute, time.Minute),
-		// Live for the whole measured window: the mote's wheel entry stays
+		// Live for the whole measured window: the mote's registration stays
 		// suspended and zone-2 control runs on neighbour substitution.
 		fault.MoteOffline(5*time.Minute, 30*time.Minute, "bt-temp-2"),
 	)

@@ -85,7 +85,7 @@ type SystemState struct {
 }
 
 // ExportState captures the system's full mutable state. Call it between
-// runs, where the engine has caught every cadenced component up.
+// runs, never from inside a Step call.
 func (s *System) ExportState() (SystemState, error) {
 	eng, err := s.engine.ExportState()
 	if err != nil {

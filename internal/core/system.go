@@ -223,12 +223,9 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 	// (when armed) judges freshness, the modules actuate their
 	// hydraulics, and the glue pushes the plant forward.
 	//
-	// Scheduling is cadence-aware: devices and broadcasters implement
-	// sim.Cadenced, so Register places them on the engine's due-wheel and
-	// they are stepped only on sampling/broadcast ticks; the network runs
-	// on demand, woken exactly on ticks where some producer transmitted
-	// (its Step was a no-op on the other ticks). The controllers, glue,
-	// and room integrate over dt every tick and stay on the always path.
+	// Every component steps every tick: devices and broadcasters keep
+	// their own sampling/broadcast accumulators, and the network returns
+	// at once on ticks where nothing was transmitted.
 	//
 	// Device registrations are indexed by node id so a fault plan can
 	// suspend and resume them (KindMoteOffline).
@@ -239,7 +236,7 @@ func assemble(cfg *Config, o *sysOpts) (*System, error) {
 	for _, b := range s.broadcasters {
 		engine.Register(b)
 	}
-	net.SetWake(engine.Register(net, sim.WithOnDemand()).Wake)
+	engine.Register(net)
 	if s.watch != nil {
 		engine.Register(sim.ComponentFunc{ID: "core.watchdog", Fn: s.watch.step})
 	}

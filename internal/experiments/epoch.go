@@ -97,10 +97,11 @@ func CheckFig10Bounds(m Fig10Metrics) error {
 // GoldenEpoch is the versioned record that pins the deterministic kernel.
 // The digest pins every traced bit of the seed-1 Figure 10 trial; the
 // metrics pin the paper's results within Fig10Bounds; NetworkSteps pins
-// the one scheduler count that is value-dependent (adaptive transmission)
-// rather than pure cadence arithmetic. A re-pin (make repin) bumps the
-// version and carries the outgoing digest and metrics forward as
-// PrevDigest/PrevMetrics, so every epoch documents its own delta.
+// how many ticks the network had frames to resolve, a count that is
+// value-dependent (adaptive transmission) rather than cadence arithmetic.
+// A re-pin (make repin) bumps the version and carries the outgoing digest
+// and metrics forward as PrevDigest/PrevMetrics, so every epoch documents
+// its own delta.
 type GoldenEpoch struct {
 	Version int    `json:"version"`
 	Pinned  string `json:"pinned"` // ISO date of the re-pin

@@ -46,11 +46,10 @@ type Fig10Result struct {
 	// SchedStats is the scheduler's per-component step accounting over the
 	// trial.
 	SchedStats []sim.ComponentStats
-	// NetworkSteps is how many ticks the on-demand WSN network component
-	// actually ran. Unlike the cadenced counts (pure schedule arithmetic)
-	// this is value-dependent — adaptive transmission wakes the network
-	// when readings move — so it is pinned by the golden epoch, not
-	// derivable from the §IV-B periods.
+	// NetworkSteps is how many ticks the WSN network had frames to
+	// resolve (wsn.Network.BusyTicks). It is value-dependent — adaptive
+	// transmission sends when readings move — so it is pinned by the
+	// golden epoch, not derivable from the §IV-B periods.
 	NetworkSteps uint64
 }
 
@@ -83,11 +82,7 @@ func Fig10(ctx context.Context, seed uint64, opts ...core.Option) (*Fig10Result,
 		FinalDewC:     sys.Room().AverageDewPoint(),
 		FinalCOP:      sys.COPTotal().Value(),
 		SchedStats:    sys.Engine().StepStats(),
-	}
-	for _, cs := range res.SchedStats {
-		if cs.Name == "wsn.network" {
-			res.NetworkSteps = cs.Steps
-		}
+		NetworkSteps:  sys.Network().BusyTicks(),
 	}
 
 	if at, ok := sys.Recorder().Series("temp.avg").FirstCrossing(25.3, true); ok {

@@ -5,16 +5,13 @@ import (
 	"testing"
 )
 
-// The cadence-aware scheduler's win must be observable, not asserted:
-// over the Figure 10 trial (6300 one-second ticks) every sensor mote and
-// AC broadcaster must be activated exactly on its sampling/broadcast
-// ticks and skipped on all others, the network must run on demand, and
-// the physics/control path must remain every-tick. The cadenced counts
-// are pure arithmetic on the paper's §IV-B periods: a device's sampling
-// accumulator first crosses at tick period−1 (floor(6300/p) activations),
-// a broadcaster fires on its registration tick and every period after.
-// The on-demand network count is value-dependent (adaptive transmission
-// wakes it when readings move), so it is pinned by the golden epoch.
+// TestFig10SchedulerStepStats pins the engine's one scheduling class over
+// the Figure 10 trial (6300 one-second ticks): all 35 components — the 18
+// sensor motes, 12 AC broadcasters, the network, and the four
+// control/physics components — are stepped on every tick. The network
+// had frames to resolve on at least the 2-second broadcaster ticks and
+// was idle on some others; the exact count is pinned by the golden epoch
+// (TestFig10MetricsWithinGoldenEpochBounds).
 func TestFig10SchedulerStepStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 105-minute trial; skipped in -short mode")
@@ -26,106 +23,28 @@ func TestFig10SchedulerStepStats(t *testing.T) {
 	}
 
 	const ticks = 6300
-	// Expected due-tick activations per cadenced component.
-	wantSteps := map[string]uint64{
-		"wsn.sensor.bt-temp-1": 2100, // T_spl = 3 s
-		"wsn.sensor.bt-temp-2": 2100,
-		"wsn.sensor.bt-temp-3": 2100,
-		"wsn.sensor.bt-temp-4": 2100,
-		"wsn.sensor.bt-hum-1":  3150, // 2 s
-		"wsn.sensor.bt-hum-2":  3150,
-		"wsn.sensor.bt-hum-3":  3150,
-		"wsn.sensor.bt-hum-4":  3150,
-		"wsn.sensor.bt-co2-1":  1575, // 4 s
-		"wsn.sensor.bt-co2-2":  1575,
-		"wsn.sensor.bt-co2-3":  1575,
-		"wsn.sensor.bt-co2-4":  1575,
-
-		"wsn.sensor.bt-paneldew-1": 3150, // 2 s
-		"wsn.sensor.bt-paneldew-2": 3150,
-		"wsn.sensor.bt-boxdew-1":   3150,
-		"wsn.sensor.bt-boxdew-2":   3150,
-		"wsn.sensor.bt-boxdew-3":   3150,
-		"wsn.sensor.bt-boxdew-4":   3150,
-
-		"wsn.periodic.ac-control-c1":   1260, // 5 s
-		"wsn.periodic.ac-control-c2-1": 3150, // 2 s
-		"wsn.periodic.ac-control-c2-2": 3150,
-		"wsn.periodic.ac-control-v1":   1260, // 5 s
-		"wsn.periodic.ac-control-v2-1": 3150, // 2 s
-		"wsn.periodic.ac-control-v2-2": 3150,
-		"wsn.periodic.ac-control-v2-3": 3150,
-		"wsn.periodic.ac-control-v2-4": 3150,
-		"wsn.periodic.ac-control-v3-1": 3150,
-		"wsn.periodic.ac-control-v3-2": 3150,
-		"wsn.periodic.ac-control-v3-3": 3150,
-		"wsn.periodic.ac-control-v3-4": 3150,
-	}
-	everyTick := map[string]bool{
-		"radiant.module": true,
-		"vent.module":    true,
-		"core.glue":      true,
-		"thermal.room":   true,
-	}
-
 	stats := r.SchedStats
-	if want := len(wantSteps) + len(everyTick) + 1; len(stats) != want {
-		t.Fatalf("StepStats reports %d components, want %d", len(stats), want)
+	if len(stats) != 35 {
+		t.Fatalf("StepStats reports %d components, want 35", len(stats))
 	}
-	var cadencedSkipped, cadencedTicks uint64
+	seen := make(map[string]bool, len(stats))
 	for _, cs := range stats {
-		if cs.Steps+cs.Skipped != ticks {
-			t.Errorf("%s: steps %d + skipped %d != %d processed ticks",
-				cs.Name, cs.Steps, cs.Skipped, uint64(ticks))
+		if seen[cs.Name] {
+			t.Errorf("component %q registered twice", cs.Name)
 		}
-		if cs.Kind == "cadenced" {
-			cadencedSkipped += cs.Skipped
-			cadencedTicks += ticks
-		}
-		switch {
-		case cs.Name == "wsn.network":
-			if cs.Kind != "on-demand" {
-				t.Errorf("wsn.network kind = %q, want on-demand", cs.Kind)
-			}
-			// Woken at least on the 2-second broadcaster ticks, and idle
-			// on at least the ticks where no producer ran at all.
-			if cs.Steps < 3150 || cs.Steps >= ticks {
-				t.Errorf("wsn.network stepped %d of %d ticks, want in [3150, %d)",
-					cs.Steps, uint64(ticks), uint64(ticks))
-			}
-			// And exactly the count the golden epoch pinned.
-			if cs.Steps != e.NetworkSteps {
-				t.Errorf("wsn.network stepped %d ticks, epoch v%d pins %d; "+
-					"if intentional, re-pin with: make repin REASON=\"...\"",
-					cs.Steps, e.Version, e.NetworkSteps)
-			}
-		case everyTick[cs.Name]:
-			if cs.Kind != "every-tick" {
-				t.Errorf("%s kind = %q, want every-tick", cs.Name, cs.Kind)
-			}
-			if cs.Steps != ticks || cs.Skipped != 0 {
-				t.Errorf("%s stepped %d/%d ticks (skipped %d), want all",
-					cs.Name, cs.Steps, uint64(ticks), cs.Skipped)
-			}
-		default:
-			want, ok := wantSteps[cs.Name]
-			if !ok {
-				t.Errorf("unexpected component %q in StepStats", cs.Name)
-				continue
-			}
-			if cs.Kind != "cadenced" {
-				t.Errorf("%s kind = %q, want cadenced", cs.Name, cs.Kind)
-			}
-			if cs.Steps != want {
-				t.Errorf("%s stepped %d ticks, want exactly %d", cs.Name, cs.Steps, want)
-			}
+		seen[cs.Name] = true
+		if cs.Kind != "every-tick" || cs.Steps != ticks || cs.Skipped != 0 {
+			t.Errorf("%s: %s %d/%d, want every-tick %d/0",
+				cs.Name, cs.Kind, cs.Steps, cs.Skipped, uint64(ticks))
 		}
 	}
-	// The headline: across the trial the wheel skipped over half of the
-	// component-ticks that per-tick polling of the motes and broadcasters
-	// would have paid (57.6% at the §IV-B periods).
-	if cadencedSkipped*2 < cadencedTicks {
-		t.Errorf("scheduler skipped only %d of %d cadenced component-ticks",
-			cadencedSkipped, cadencedTicks)
+	for _, name := range []string{"wsn.network", "radiant.module", "vent.module", "core.glue", "thermal.room"} {
+		if !seen[name] {
+			t.Errorf("StepStats lacks %q", name)
+		}
+	}
+	if r.NetworkSteps < 3150 || r.NetworkSteps >= ticks {
+		t.Errorf("network busy on %d of %d ticks, want in [3150, %d)",
+			r.NetworkSteps, uint64(ticks), uint64(ticks))
 	}
 }

@@ -16,8 +16,8 @@ import (
 // defaultEpochTicks is the epoch length when Config.EpochTicks is 0. It
 // only trades scheduling granularity (cancellation latency, shard
 // rebalancing points) against per-epoch dispatch overhead; results are
-// epoch-invariant because sim.Engine.RunTicks flushes the cadence wheel
-// on every run exit.
+// epoch-invariant because sim.Engine.RunTicks steps every component on
+// every tick, so a run boundary leaves nothing pending.
 const defaultEpochTicks = 512
 
 // Fleet is N independent BubbleZERO buildings stepped in lockstep epochs,

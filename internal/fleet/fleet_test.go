@@ -260,7 +260,7 @@ func TestFleetBankBitIdenticalAcrossShards(t *testing.T) {
 
 // TestFleetTickSteadyStateAllocs pins the fleet tick allocation-free in
 // steady state: once histograms have learned their variance ranges and
-// the cadence-wheel and network backings have grown, an entire epoch
+// the network and trace backings have grown, an entire epoch
 // allocates only the worker-pool dispatch scaffolding (the per-epoch
 // jobs slice and its closures — 3 objects on the single-shard fast
 // path), independent of the tick count covered. With bank=false the

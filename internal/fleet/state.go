@@ -8,7 +8,7 @@ import (
 
 // State is a fleet snapshot: the tick count, the applied-event journal,
 // and every building's full mutable state. Export only between RunTicks
-// calls — every epoch exit flushes each engine's cadence wheel, so that
+// calls — every epoch exit leaves each engine between ticks, so that
 // point is quiescent — and restore only into a freshly constructed Fleet
 // built from the same Config. Construction is deterministic, so the
 // rebuilt topology matches position for position; journaled fault events

@@ -158,9 +158,6 @@ func NewTank(volumeL, setpoint float64, chiller exergy.Chiller, capacityW float6
 // load and recovers under the proportional band after restoration.
 func (t *Tank) SetChillerTripped(on bool) { t.st.Tripped = on }
 
-// ChillerTripped reports whether the chiller is currently tripped.
-func (t *Tank) ChillerTripped() bool { return t.st.Tripped }
-
 // Temp returns the current tank water temperature (°C) — the paper's
 // T_supp for loops drawing from this tank.
 func (t *Tank) Temp() float64 { return t.st.Temp }

@@ -81,9 +81,6 @@ func (c *Controller) Output() float64 { return c.st.LastOut }
 // action remain live so control resumes cleanly when the input returns.
 func (c *Controller) SetIntegratorFrozen(on bool) { c.st.Frozen = on }
 
-// IntegratorFrozen reports whether the integrator is currently held.
-func (c *Controller) IntegratorFrozen() bool { return c.st.Frozen }
-
 // Reset clears the integrator and derivative history, e.g. after a long
 // actuator outage.
 func (c *Controller) Reset() {

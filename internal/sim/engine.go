@@ -43,9 +43,8 @@ func (e *Env) Elapsed() time.Duration { return e.clock.Elapsed() }
 func (e *Env) RNG() *RNG { return e.rng }
 
 // Component is a simulation participant. Step is called once per tick in
-// registration order. Components that need a coarser cadence either keep
-// their own accumulators, or implement Cadenced and let the engine's
-// due-wheel skip the ticks between their due points entirely.
+// registration order. Components that need a coarser cadence keep their
+// own accumulators and do nothing on the ticks in between.
 type Component interface {
 	// Name identifies the component in error messages and traces.
 	Name() string
@@ -72,23 +71,14 @@ func (c ComponentFunc) Step(env *Env) { c.Fn(env) }
 // order of the physical system (environment → plant → sensors → network →
 // controllers → actuators).
 //
-// Scheduling is cadence-aware: every-tick components (the default) are
-// stepped on every tick, components implementing Cadenced sit on a
-// due-wheel and are stepped only on the ticks their own accumulators say
-// are due, and on-demand components run only on ticks they were woken
-// for. Within any single tick the active components still step in
-// registration order, so the schedule is observationally identical to
-// stepping everything every tick — skipped ticks are exactly the ticks on
-// which the component would have done nothing.
+// Every component is stepped once per tick; a suspended one (see
+// Registration.Suspend) is skipped until it is resumed.
 type Engine struct {
 	clock    *Clock
 	rng      *RNG
 	timeline *Timeline
-	dtS      float64
 
-	entries []*entry // every registered component, registration order
-	always  []*entry // every-tick and on-demand entries, registration order
-	wheel   dueWheel // cadenced entries, hashed by due tick
+	entries []entry // every registered component, registration order
 
 	env *Env // lazily built, reused by every run
 }
@@ -99,7 +89,6 @@ func NewEngine(clock *Clock, seed uint64) *Engine {
 		clock:    clock,
 		rng:      NewRNG(seed),
 		timeline: NewTimeline(),
-		dtS:      clock.Step().Seconds(),
 	}
 }
 
@@ -151,10 +140,9 @@ func (e *Engine) RunFor(ctx context.Context, d time.Duration) error {
 	return e.RunTicks(ctx, ticks)
 }
 
-// RunTicks advances the simulation by n ticks. On both return paths —
-// completion and cancellation — cadenced components are
-// caught up through the last executed tick, so post-run observers read
-// exactly the state per-tick stepping would have produced.
+// RunTicks advances the simulation by n ticks. Each tick fires the
+// timeline events due at its instant, then steps every component that is
+// not suspended, in registration order.
 //
 //bzlint:hotpath
 func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
@@ -164,17 +152,22 @@ func (e *Engine) RunTicks(ctx context.Context, n uint64) error {
 		if i%ctxCheckEvery == 0 {
 			select {
 			case <-ctx.Done():
-				e.catchUp(env)
 				//bzlint:allow hotpath cold cancellation exit, runs at most once per run
 				return fmt.Errorf("sim: run: %w", ctx.Err())
 			default:
 			}
 		}
 		e.timeline.fire(env)
-		e.stepDue(env)
+		for j := range e.entries {
+			ent := &e.entries[j]
+			if ent.suspended {
+				continue
+			}
+			ent.c.Step(env)
+			ent.steps++
+		}
 		e.clock.Advance()
 	}
-	e.catchUp(env)
 	return nil
 }
 
@@ -188,83 +181,4 @@ func (e *Engine) sharedEnv() *Env {
 		e.env = NewEnv(e.clock, e.rng)
 	}
 	return e.env
-}
-
-// stepDue advances every component scheduled for the current tick: the
-// wheel entries due now, merged with the every-tick list in registration
-// order.
-func (e *Engine) stepDue(env *Env) {
-	tick := e.clock.Tick()
-	var due []*entry
-	if e.wheel.count != 0 {
-		due = e.wheel.takeDue(tick)
-	}
-	always := e.always
-	ai, di := 0, 0
-	for ai < len(always) && di < len(due) {
-		if always[ai].idx < due[di].idx {
-			e.stepAlways(always[ai], env)
-			ai++
-		} else {
-			e.stepWheel(due[di], env, tick)
-			di++
-		}
-	}
-	for ; ai < len(always); ai++ {
-		e.stepAlways(always[ai], env)
-	}
-	for ; di < len(due); di++ {
-		e.stepWheel(due[di], env, tick)
-	}
-}
-
-func (e *Engine) stepAlways(ent *entry, env *Env) {
-	if ent.suspended {
-		// A wake received while suspended stays latched and fires on the
-		// first processed tick after Resume.
-		return
-	}
-	if ent.onDemand {
-		if !ent.woken {
-			return
-		}
-		ent.woken = false
-	}
-	ent.c.Step(env)
-	ent.steps++
-}
-
-// stepWheel catches a due entry up through the current tick (one StepN
-// call covering every tick since its last activation), then reschedules
-// it at its next due tick. Suspended entries keep their slot but the
-// poll is a no-op: the covered ticks are marked done without being
-// delivered, so the outage is never replayed.
-func (e *Engine) stepWheel(ent *entry, env *Env, tick uint64) {
-	if ent.suspended {
-		ent.doneThrough = tick + 1
-		ent.nextDue = tick + ent.cad.NextDue(e.dtS)
-		e.wheel.push(ent, tick)
-		return
-	}
-	ent.cad.StepN(env, tick+1-ent.doneThrough)
-	ent.doneThrough = tick + 1
-	ent.steps++
-	ent.nextDue = tick + ent.cad.NextDue(e.dtS)
-	e.wheel.push(ent, tick)
-}
-
-// catchUp flushes every wheel entry's per-tick internal state (idle
-// battery draw, accumulators) through the last executed tick, so post-run
-// observers (battery gauges, example snapshots) read exactly the state
-// per-tick polling would have produced. Nothing fires during catch-up:
-// every flushed tick is strictly before the entry's next due tick.
-func (e *Engine) catchUp(env *Env) {
-	now := e.clock.Tick()
-	for _, ent := range e.entries {
-		if ent.cad == nil || ent.suspended || ent.doneThrough >= now {
-			continue
-		}
-		ent.cad.StepN(env, now-ent.doneThrough)
-		ent.doneThrough = now
-	}
 }

@@ -1,95 +1,67 @@
 package sim
 
-// RegOption configures a single Engine.Register call.
-type RegOption func(*entry)
+// entry is the engine-side record for one registered component.
+type entry struct {
+	c Component
+	// suspended entries are skipped until their Registration resumes them.
+	suspended bool
 
-// WithOnDemand registers the component to be stepped, at its position in
-// the registration order, only on ticks during which Registration.Wake
-// was called. A wake during tick T from a component ordered before it
-// steps the component on tick T itself; a wake after its position (or
-// from outside the run loop) steps it on the next processed tick. The
-// flag persists until the component is stepped, so a wake is never lost.
-func WithOnDemand() RegOption {
-	return func(ent *entry) { ent.onDemand = true }
+	steps   uint64 // ticks on which the component was stepped
+	regTick uint64 // clock tick at registration, for skip accounting
 }
 
-// Registration is the scheduling handle returned by Engine.Register. The
-// zero value is not meaningful; handles are only created by Register.
+// Registration is the handle returned by Engine.Register. The zero value
+// is not meaningful; handles are only created by Register.
 type Registration struct {
 	e   *Engine
-	ent *entry
-}
-
-// Wake marks an on-demand component to be stepped on the current (or
-// next) processed tick. Panics if the component was not registered
-// WithOnDemand.
-func (r *Registration) Wake() {
-	if !r.ent.onDemand {
-		panic("sim: Registration.Wake: component " + r.ent.c.Name() + " not registered WithOnDemand")
-	}
-	r.ent.woken = true
+	idx int // position in e.entries
 }
 
 // Suspend takes the component offline, so fault injectors can power a
-// device down mid-run: the scheduler stops delivering Step/StepN calls
-// (including end-of-run catch-up) until Resume. A suspended due-wheel
-// entry keeps its slot but each poll is a no-op, so suspension and
-// resumption are quantized to the entry's own due ticks — at most one
-// cadence period of latency, which is far below any fault duration of
-// interest. Ticks that elapsed before the suspension are flushed first, so
-// the component's internal accumulators stay exact.
-func (r *Registration) Suspend() {
-	ent := r.ent
-	if !ent.suspended && ent.cad != nil {
-		if now := r.e.clock.Tick(); ent.doneThrough < now {
-			ent.cad.StepN(r.e.sharedEnv(), now-ent.doneThrough)
-			ent.doneThrough = now
-		}
-	}
-	ent.suspended = true
-}
+// device down mid-run: the engine stops calling Step until Resume.
+func (r *Registration) Suspend() { r.e.entries[r.idx].suspended = true }
 
-// Resume puts a suspended component back on its schedule. The ticks
-// spent suspended are not replayed: the component's accumulators are
-// frozen across the outage, as if the hardware had been powered off.
-func (r *Registration) Resume() {
-	ent := r.ent
-	ent.suspended = false
-	// Skip the suspended span so the next due poll does not replay it.
-	if ent.cad != nil {
-		if now := r.e.clock.Tick(); ent.doneThrough < now {
-			ent.doneThrough = now
-		}
-	}
-}
+// Resume puts a suspended component back on every tick. The ticks spent
+// suspended are not replayed: the component's accumulators are frozen
+// across the outage, as if the hardware had been powered off.
+func (r *Registration) Resume() { r.e.entries[r.idx].suspended = false }
 
 // Suspended reports whether the component is currently suspended.
-func (r *Registration) Suspended() bool { return r.ent.suspended }
+func (r *Registration) Suspended() bool { return r.e.entries[r.idx].suspended }
 
 // Register adds c to the engine at the next position in step order and
-// returns its scheduling handle. With no options the component is stepped
-// every tick, unless it implements Cadenced, in which case it is placed
-// on the due-wheel and stepped only on the ticks its own accumulators say
-// are due. WithOnDemand parks the component until the handle's Wake is
-// called. Register components between runs, not from inside a Step call.
-func (e *Engine) Register(c Component, opts ...RegOption) *Registration {
-	ent := &entry{c: c, idx: len(e.entries), regTick: e.clock.Tick()}
-	for _, opt := range opts {
-		opt(ent)
+// returns its handle. Register components between runs, not from inside a
+// Step call.
+func (e *Engine) Register(c Component) *Registration {
+	e.entries = append(e.entries, entry{c: c, regTick: e.clock.Tick()})
+	return &Registration{e: e, idx: len(e.entries) - 1}
+}
+
+// ComponentStats describes one component's stepping over the engine's
+// lifetime.
+type ComponentStats struct {
+	// Name is the component name.
+	Name string
+	// Kind is "every-tick", the engine's one scheduling class.
+	Kind string
+	// Steps counts the ticks on which the component was stepped.
+	Steps uint64
+	// Skipped counts the processed ticks on which it was suspended.
+	Skipped uint64
+}
+
+// StepStats reports per-component step/skip counters in registration
+// order.
+func (e *Engine) StepStats() []ComponentStats {
+	out := make([]ComponentStats, len(e.entries))
+	now := e.clock.Tick()
+	for i, ent := range e.entries {
+		out[i] = ComponentStats{
+			Name:    ent.c.Name(),
+			Kind:    "every-tick",
+			Steps:   ent.steps,
+			Skipped: now - ent.regTick - ent.steps,
+		}
 	}
-	reg := &Registration{e: e, ent: ent}
-	e.entries = append(e.entries, ent)
-	if ent.onDemand {
-		e.always = append(e.always, ent)
-		return reg
-	}
-	ent.doneThrough = e.clock.Tick()
-	if cad, ok := c.(Cadenced); ok {
-		ent.cad = cad
-		ent.nextDue = ent.doneThrough + cad.NextDue(e.dtS) - 1
-		e.wheel.push(ent, e.clock.Tick())
-	} else {
-		e.always = append(e.always, ent)
-	}
-	return reg
+	return out
 }

@@ -2,22 +2,47 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// Register API tests: default scheduling, on-demand wakes, and the
-// fault-suspension semantics of Registration.Suspend/Resume.
+// Register API tests: every-tick stepping, the fault-suspension semantics
+// of Registration.Suspend/Resume, and the step/skip counters.
+
+// accum is a test double for the sensor-device pattern: per-tick
+// accumulator bookkeeping (the idle-drain analogue is the ticks counter)
+// with observable work whenever the accumulator crosses the period.
+type accum struct {
+	name    string
+	periodS float64
+	since   float64
+	ticks   uint64   // ticks stepped
+	fires   []uint64 // ticks on which observable work happened
+	observe func()   // optional, runs at each fire
+}
+
+func (a *accum) Name() string { return a.name }
+func (a *accum) Step(env *Env) {
+	a.ticks++
+	a.since += env.Dt()
+	for a.since >= a.periodS {
+		a.since -= a.periodS
+		a.fires = append(a.fires, env.Tick())
+		if a.observe != nil {
+			a.observe()
+		}
+	}
+}
 
 func TestRegisterDefaults(t *testing.T) {
-	// Register with no options puts a plain component on the every-tick
-	// path and a Cadenced one on the due-wheel, with identical observable
-	// behavior: the accumulator covers every tick and fires on schedule.
+	// Register steps both a plain component and an accumulator component
+	// every tick; the accumulator fires on its own schedule.
 	e := NewEngine(MustClock(testStart, time.Second), 1)
 	var n uint64
 	e.Register(ComponentFunc{ID: "plain", Fn: func(*Env) { n++ }})
-	dev := &accumCadenced{name: "dev", periodS: 3}
+	dev := &accum{name: "dev", periodS: 3}
 	e.Register(dev)
 	if err := e.RunTicks(context.Background(), 20); err != nil {
 		t.Fatal(err)
@@ -26,47 +51,147 @@ func TestRegisterDefaults(t *testing.T) {
 		t.Errorf("plain component stepped %d times, want every tick (20)", n)
 	}
 	if dev.ticks != 20 {
-		t.Errorf("cadenced bookkeeping covers %d ticks, want 20", dev.ticks)
+		t.Errorf("accumulator stepped %d ticks, want 20", dev.ticks)
 	}
 	want := []uint64{2, 5, 8, 11, 14, 17}
 	if fmt.Sprint(dev.fires) != fmt.Sprint(want) {
-		t.Errorf("cadenced fires = %v, want %v", dev.fires, want)
+		t.Errorf("accumulator fires = %v, want %v", dev.fires, want)
 	}
-	stats := e.StepStats()
-	if stats[0].Kind != "every-tick" || stats[1].Kind != "cadenced" {
-		t.Errorf("stats kinds = %s/%s, want every-tick/cadenced", stats[0].Kind, stats[1].Kind)
+	for _, cs := range e.StepStats() {
+		if cs.Kind != "every-tick" || cs.Steps != 20 || cs.Skipped != 0 {
+			t.Errorf("stats = %+v, want every-tick 20/0", cs)
+		}
 	}
 }
 
-func TestWithOnDemandSameTickWake(t *testing.T) {
-	// A wake from an earlier-ordered component lands on the same tick.
+// TestCadencedMatchesEveryTickPolling pins that a component with its own
+// cadence, stepped by the engine across uneven RunTicks calls, ends with
+// exactly the state and fire schedule of a plain loop calling its Step
+// once per tick — including at a step that is not exactly representable
+// in binary (100 ms), where the accumulator drifts.
+func TestCadencedMatchesEveryTickPolling(t *testing.T) {
+	cases := []struct {
+		step    time.Duration
+		periodS float64
+		ticks   uint64
+	}{
+		{time.Second, 3, 100},
+		{time.Second, 2, 101},
+		{100 * time.Millisecond, 0.3, 1000},
+		{100 * time.Millisecond, 2, 997},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("step=%v_period=%vs", tc.step, tc.periodS), func(t *testing.T) {
+			engined := &accum{name: "dev", periodS: tc.periodS}
+			e := NewEngine(MustClock(testStart, tc.step), 1)
+			e.Register(engined)
+			for left, seg := tc.ticks, uint64(7); left > 0; seg += 6 {
+				seg = min(seg, left)
+				if err := e.RunTicks(context.Background(), seg); err != nil {
+					t.Fatal(err)
+				}
+				left -= seg
+			}
+
+			polled := &accum{name: "dev", periodS: tc.periodS}
+			clock := MustClock(testStart, tc.step)
+			env := NewEnv(clock, NewRNG(1))
+			for i := uint64(0); i < tc.ticks; i++ {
+				polled.Step(env)
+				clock.Advance()
+			}
+
+			if engined.ticks != polled.ticks {
+				t.Errorf("engine stepped %d ticks, loop %d", engined.ticks, polled.ticks)
+			}
+			if engined.since != polled.since {
+				t.Errorf("accumulator diverged: engine %v, loop %v", engined.since, polled.since)
+			}
+			if fmt.Sprint(engined.fires) != fmt.Sprint(polled.fires) {
+				t.Errorf("engine fired on %v, loop on %v", engined.fires, polled.fires)
+			}
+		})
+	}
+}
+
+// TestTimelineEventOnSkippedTick verifies that an event landing between an
+// accumulator component's fires still fires on its exact tick, and the
+// component observes its effect at its next fire.
+func TestTimelineEventOnSkippedTick(t *testing.T) {
 	e := NewEngine(MustClock(testStart, time.Second), 1)
-	var stepped []uint64
-	var wake func()
-	e.Register(ComponentFunc{ID: "producer", Fn: func(env *Env) {
-		if env.Tick()%3 == 0 {
-			wake()
-		}
-	}})
-	c := ComponentFunc{ID: "net", Fn: func(env *Env) { stepped = append(stepped, env.Tick()) }}
-	wake = e.Register(c, WithOnDemand()).Wake
+	setting := 0.0
+	seen := -1.0
+	dev := &accum{name: "dev", periodS: 5}
+	dev.observe = func() { seen = setting }
+	e.Register(dev)
+	var firedTick uint64
+	// The device fires on ticks 4 and 9 of a 10-tick run.
+	e.Timeline().At(testStart.Add(3*time.Second), "setpoint", func(env *Env) {
+		firedTick = env.Tick()
+		setting = 42
+	})
 	if err := e.RunTicks(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	want := []uint64{0, 3, 6, 9}
-	if fmt.Sprint(stepped) != fmt.Sprint(want) {
-		t.Errorf("Register(WithOnDemand) stepped on %v, want %v", stepped, want)
+	if firedTick != 3 {
+		t.Errorf("event fired on tick %d, want 3", firedTick)
+	}
+	if e.Timeline().Len() != 0 {
+		t.Errorf("timeline still holds %d events", e.Timeline().Len())
+	}
+	if len(dev.fires) == 0 || dev.fires[0] != 4 {
+		t.Fatalf("device fires = %v, want first fire on tick 4", dev.fires)
+	}
+	if seen != 42 {
+		t.Errorf("device observed setting %v at its fire, want 42", seen)
 	}
 }
 
-func TestRegisterOptionPanics(t *testing.T) {
+// TestCancellationCatchesUp verifies a cancelled run returns with every
+// component stepped through the last executed tick and no further.
+func TestCancellationCatchesUp(t *testing.T) {
 	e := NewEngine(MustClock(testStart, time.Second), 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Wake on a component not registered WithOnDemand did not panic")
-		}
-	}()
-	e.Register(ComponentFunc{ID: "noop", Fn: func(*Env) {}}).Wake()
+	dev := &accum{name: "dev", periodS: 1 << 20}
+	e.Register(dev)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := e.RunTicks(ctx, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if dev.ticks != 0 || e.Clock().Tick() != 0 {
+		t.Errorf("device stepped %d ticks, clock at %d after immediate cancellation, want 0/0",
+			dev.ticks, e.Clock().Tick())
+	}
+}
+
+// TestCompletionCatchesUp verifies a run ending strictly between an
+// accumulator component's fires leaves it covering every executed tick,
+// and a second run resumes from that state.
+func TestCompletionCatchesUp(t *testing.T) {
+	e := NewEngine(MustClock(testStart, time.Second), 1)
+	dev := &accum{name: "dev", periodS: 7}
+	e.Register(dev)
+	if err := e.RunTicks(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if dev.ticks != 10 {
+		t.Errorf("device covers %d ticks, want 10", dev.ticks)
+	}
+	if len(dev.fires) != 1 || dev.fires[0] != 6 {
+		t.Errorf("fires = %v, want exactly [6]", dev.fires)
+	}
+	if dev.since != 3 {
+		t.Errorf("accumulator = %v after 3 ticks past the fire, want 3", dev.since)
+	}
+	if err := e.RunTicks(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if dev.ticks != 20 {
+		t.Errorf("device covers %d ticks after the second run, want 20", dev.ticks)
+	}
+	if len(dev.fires) != 2 || dev.fires[1] != 13 {
+		t.Errorf("fires = %v, want second fire on tick 13", dev.fires)
+	}
 }
 
 func TestSuspendResumeAlwaysComponent(t *testing.T) {
@@ -100,59 +225,49 @@ func TestSuspendResumeAlwaysComponent(t *testing.T) {
 }
 
 func TestSuspendResumeCadencedComponent(t *testing.T) {
-	// A due-wheel mote suspended mid-run: the outage ticks are never
-	// replayed, the accumulator freezes across the outage, and after
-	// Resume the device is back on its own schedule.
+	// A mote suspended mid-run: the outage ticks are never replayed, the
+	// accumulator freezes across the outage, and after Resume the device
+	// picks its schedule up from the frozen accumulator.
 	e := NewEngine(MustClock(testStart, time.Second), 1)
-	dev := &accumCadenced{name: "dev", periodS: 3}
+	dev := &accum{name: "dev", periodS: 3}
 	reg := e.Register(dev)
 	if err := e.RunTicks(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
-	// Fires at ticks 2 and 5; tick 6 has been applied (flush-on-suspend
-	// brings doneThrough to the clock even off a due boundary).
+	// Fires at ticks 2 and 5; tick 6 leaves the accumulator at 1.
 	reg.Suspend()
-	ticksAtSuspend := dev.ticks
 	if err := e.RunTicks(context.Background(), 9); err != nil {
 		t.Fatal(err)
 	}
-	if dev.ticks != ticksAtSuspend {
-		t.Errorf("suspended device applied %d ticks during the outage", dev.ticks-ticksAtSuspend)
+	if dev.ticks != 7 {
+		t.Errorf("suspended device stepped %d ticks during the outage", dev.ticks-7)
 	}
 	reg.Resume()
 	if err := e.RunTicks(context.Background(), 9); err != nil {
 		t.Fatal(err)
 	}
-	// The outage span [7,16) is skipped entirely: total applied ticks are
-	// the 7 before plus at most the 9 after (quantization to due ticks may
-	// withhold the first post-resume poll).
-	if dev.ticks > ticksAtSuspend+9 {
-		t.Errorf("device applied %d ticks after resume, want <= 9 (no outage replay)",
-			dev.ticks-ticksAtSuspend)
+	if dev.ticks != 16 {
+		t.Errorf("device stepped %d ticks, want 16 (outage [7,16) skipped)", dev.ticks)
 	}
-	for _, f := range dev.fires {
-		if f >= 7 && f < 16 {
-			t.Errorf("device fired on tick %d inside the outage", f)
-		}
-	}
-	if len(dev.fires) < 4 {
-		t.Errorf("device fired %d times (%v), want it back on schedule after resume",
-			len(dev.fires), dev.fires)
+	// The frozen accumulator (1 s) needs two more ticks: 16 → 2, 17 → 3.
+	want := []uint64{2, 5, 17, 20, 23}
+	if fmt.Sprint(dev.fires) != fmt.Sprint(want) {
+		t.Errorf("fires = %v, want %v", dev.fires, want)
 	}
 }
 
 func TestSuspendFlushesPendingTicks(t *testing.T) {
-	// Suspending between due ticks must first apply the elapsed span, so
-	// accumulators (battery drain analogue) stay exact up to the outage.
+	// Suspending between fires leaves the accumulator exactly where the
+	// elapsed ticks put it, so the outage starts from exact state.
 	e := NewEngine(MustClock(testStart, time.Second), 1)
-	dev := &accumCadenced{name: "dev", periodS: 5}
+	dev := &accum{name: "dev", periodS: 5}
 	reg := e.Register(dev)
 	if err := e.RunTicks(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
 	reg.Suspend()
-	if dev.ticks != 7 {
-		t.Errorf("device saw %d ticks at suspend, want all 7 flushed", dev.ticks)
+	if dev.ticks != 7 || dev.since != 2 {
+		t.Errorf("device at %d ticks, accumulator %v at suspend, want 7 and 2", dev.ticks, dev.since)
 	}
 }
 
@@ -169,51 +284,27 @@ func TestSuspendedStepStatsCountSkips(t *testing.T) {
 	}
 }
 
-func TestWakeLatchedAcrossSuspension(t *testing.T) {
-	// A wake delivered while the component is suspended must not be lost:
-	// it steps on the first processed tick after Resume.
-	e := NewEngine(MustClock(testStart, time.Second), 1)
-	var stepped []uint64
-	reg := e.Register(ComponentFunc{ID: "net", Fn: func(env *Env) {
-		stepped = append(stepped, env.Tick())
-	}}, WithOnDemand())
-	reg.Wake()
-	reg.Suspend()
-	if err := e.RunTicks(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if len(stepped) != 0 {
-		t.Fatalf("suspended on-demand component stepped on %v", stepped)
-	}
-	reg.Resume()
-	if err := e.RunTicks(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(stepped) != fmt.Sprint([]uint64{3}) {
-		t.Errorf("stepped on %v, want [3] (wake latched across suspension)", stepped)
-	}
-}
-
 func TestSuspendResumeWarmAllocs(t *testing.T) {
-	// A mote-offline fault suspends a cadenced device between its due
-	// ticks, which flushes the elapsed span through the engine's shared
-	// Env: a warm Suspend/Resume cycle must not allocate.
+	// A mote-offline fault suspends and resumes a device from a timeline
+	// event: a warm Suspend/Resume cycle, and a tick stepped across it,
+	// must not allocate.
 	e := NewEngine(MustClock(testStart, time.Second), 1)
-	dev := &accumCadenced{name: "dev", periodS: 1 << 20}
+	dev := &accum{name: "dev", periodS: 1 << 20}
 	reg := e.Register(dev)
-	if err := e.RunTicks(context.Background(), 1); err != nil {
+	ctx := context.Background()
+	if err := e.RunTicks(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		e.clock.Advance() // leave a pending span for Suspend to flush
 		reg.Suspend()
+		_ = e.RunTicks(ctx, 1)
 		reg.Resume()
+		_ = e.RunTicks(ctx, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("warm Suspend/Resume allocates %v times per cycle, want 0", allocs)
 	}
-	if dev.ticks != e.clock.Tick() {
-		t.Errorf("device covers %d ticks, want %d (every Suspend flushes the pending span)",
-			dev.ticks, e.clock.Tick())
+	if want := (e.Clock().Tick() + 1) / 2; dev.ticks != want {
+		t.Errorf("device stepped %d ticks, want %d (suspended ticks skipped)", dev.ticks, want)
 	}
 }

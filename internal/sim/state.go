@@ -17,9 +17,9 @@ import (
 // register in the same order, the same timeline events are scheduled at
 // the same instants, the same construction-time RNG draws happen), and
 // RestoreState then overwrites the mutable residue: the clock tick, every
-// RNG stream's PCG position, each entry's wheel scheduling counters, and
-// the timeline's already-fired prefix (dropped, never re-fired — its
-// effects live in the captured component state).
+// RNG stream's PCG position, each entry's step counters and suspension
+// flag, and the timeline's already-fired prefix (dropped, never re-fired —
+// its effects live in the captured component state).
 
 // StreamState is the captured position of one named RNG stream, in
 // creation order.
@@ -31,20 +31,17 @@ type StreamState struct {
 }
 
 // EntrySched is the captured scheduling state of one registered component,
-// in registration order.
+// in registration order. Streams written before the engine stepped every
+// component every tick also carry DoneThrough, NextDue and Woken; gob
+// skips them on decode.
 type EntrySched struct {
 	// Name is the component name, used to verify the rebuilt engine
 	// registered the same component at this position.
 	Name string
-	// DoneThrough and NextDue are the wheel bookkeeping for cadenced
-	// entries (ticks [0, DoneThrough) delivered; next due tick absolute).
-	DoneThrough uint64
-	NextDue     uint64
 	// Steps and RegTick feed StepStats.
 	Steps   uint64
 	RegTick uint64
-	// Woken is the on-demand latch; Suspended the fault-injection flag.
-	Woken     bool
+	// Suspended is the fault-injection flag.
 	Suspended bool
 }
 
@@ -52,8 +49,7 @@ type EntrySched struct {
 // Component-internal state (accumulators, controller integrals, physics)
 // is captured by the components' own export hooks. Unlike the module
 // states, it is assembled field by field rather than held inline: an
-// EntrySched's Name is not an entry field, and the entries sit on the due
-// wheel's hot path.
+// EntrySched's Name is not an entry field.
 type EngineState struct {
 	Tick    uint64
 	Streams []StreamState
@@ -61,8 +57,7 @@ type EngineState struct {
 }
 
 // ExportState captures the engine's scheduling and randomness state.
-// Call it between runs (e.g. at an epoch boundary): every run exit has
-// already caught the cadenced components up, which is the same quiescent
+// Call it between runs (e.g. at an epoch boundary), the same quiescent
 // point RestoreState resumes from.
 func (e *Engine) ExportState() (EngineState, error) {
 	streams, err := e.rng.exportStreams()
@@ -76,13 +71,10 @@ func (e *Engine) ExportState() (EngineState, error) {
 	}
 	for i, ent := range e.entries {
 		st.Entries[i] = EntrySched{
-			Name:        ent.c.Name(),
-			DoneThrough: ent.doneThrough,
-			NextDue:     ent.nextDue,
-			Steps:       ent.steps,
-			RegTick:     ent.regTick,
-			Woken:       ent.woken,
-			Suspended:   ent.suspended,
+			Name:      ent.c.Name(),
+			Steps:     ent.steps,
+			RegTick:   ent.regTick,
+			Suspended: ent.suspended,
 		}
 	}
 	return st, nil
@@ -90,11 +82,11 @@ func (e *Engine) ExportState() (EngineState, error) {
 
 // RestoreState patches a freshly assembled engine to the captured point:
 // it sets the clock, restores every RNG stream, overwrites each entry's
-// scheduling counters, rebuilds the due-wheel around the restored due
-// ticks, and drops the timeline prefix the original run had already fired.
-// The engine must have been assembled from the same configuration as the
-// exported one (same registrations in the same order, same timeline); any
-// structural mismatch is reported as an error.
+// counters and suspension flag, and drops the timeline prefix the
+// original run had already fired. The engine must have been assembled
+// from the same configuration as the exported one (same registrations in
+// the same order, same timeline); any structural mismatch is reported as
+// an error.
 func (e *Engine) RestoreState(st EngineState) error {
 	if len(st.Entries) != len(e.entries) {
 		return fmt.Errorf("sim: restore: engine has %d registrations, snapshot has %d",
@@ -111,21 +103,11 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return err
 	}
 	e.clock.tick = st.Tick
-	// Rebuild the wheel from scratch around the restored due ticks: the
-	// construction-time scheduling (every cadenced entry pushed at its
-	// registration-derived first due tick) is stale once the clock moves.
-	e.wheel = dueWheel{}
 	for i, es := range st.Entries {
-		ent := e.entries[i]
-		ent.doneThrough = es.DoneThrough
-		ent.nextDue = es.NextDue
+		ent := &e.entries[i]
 		ent.steps = es.Steps
 		ent.regTick = es.RegTick
-		ent.woken = es.Woken
 		ent.suspended = es.Suspended
-		if ent.cad != nil {
-			e.wheel.push(ent, st.Tick)
-		}
 	}
 	// Drop the timeline events the original run had fired: fire at tick k
 	// covers instants <= Now(k), so after T completed ticks everything at

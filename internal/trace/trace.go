@@ -387,43 +387,52 @@ func (r *Recorder) Names() []string {
 // elapsed time in seconds. Series without a sample at a row emit an empty
 // cell. Each column is one AggLast Query — sample-and-hold at the row
 // instants — so CSV export and the serving layer share one read path.
+// Every column's buckets share one allocation, and each line is built in
+// one reused buffer and written as it completes, so memory grows with
+// rows × columns plus one line.
 func (r *Recorder) WriteCSV(w io.Writer, names []string, from, to time.Time, period time.Duration) error {
 	if period <= 0 {
 		return fmt.Errorf("trace: WriteCSV period must be positive, got %v", period)
 	}
-	header := "elapsed_s"
+	// Sized for the header, and for a row of 4-decimal values below 10^6.
+	size := len("elapsed_s") + 8
 	for _, n := range names {
-		header += "," + n
+		size += 1 + max(len(n), 11)
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
+	line := append(make([]byte, 0, size), "elapsed_s"...)
+	for _, n := range names {
+		line = append(append(line, ','), n...)
+	}
+	if _, err := w.Write(append(line, '\n')); err != nil {
 		return err
 	}
 	if to.Before(from) {
 		return nil // header only, matching the empty row range
 	}
 	q := Query{From: from, To: to, Step: period, Agg: AggLast}
+	rows := int(to.Sub(from)/period) + 1
+	cells := make([]QueryPoint, rows*len(names))
 	cols := make([][]QueryPoint, len(names))
 	for i, n := range names {
 		s, ok := r.series[n]
 		if !ok {
 			continue // unknown series renders as an all-empty column
 		}
-		pts, err := s.Query(q, nil)
+		pts, err := s.Query(q, cells[i*rows:i*rows:(i+1)*rows])
 		if err != nil {
 			return err
 		}
 		cols[i] = pts
 	}
-	rows := int(to.Sub(from)/period) + 1
 	for k := 0; k < rows; k++ {
-		row := strconv.FormatFloat((time.Duration(k) * period).Seconds(), 'f', 1, 64)
+		line = strconv.AppendFloat(line[:0], (time.Duration(k) * period).Seconds(), 'f', 1, 64)
 		for _, col := range cols {
-			row += ","
+			line = append(line, ',')
 			if col != nil && col[k].OK {
-				row += strconv.FormatFloat(col[k].Value, 'f', 4, 64)
+				line = strconv.AppendFloat(line, col[k].Value, 'f', 4, 64)
 			}
 		}
-		if _, err := fmt.Fprintln(w, row); err != nil {
+		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}

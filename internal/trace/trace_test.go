@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -169,6 +171,29 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[1], ",") {
 		t.Errorf("missing series should render empty cell: %q", lines[1])
+	}
+}
+
+// TestWriteCSVAllocsIndependentOfColumns pins the export's allocation
+// count for one row of 1,000 columns: the header and the row are built in
+// one reused buffer and the columns share one bucket allocation, so the
+// count (3) does not grow with the column count.
+func TestWriteCSVAllocsIndependentOfColumns(t *testing.T) {
+	r := NewRecorder()
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%03d", i)
+		if err := r.Series(names[i]).Append(t0, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := r.WriteCSV(io.Discard, names, t0, t0, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("one-row, 1000-column WriteCSV allocates %v times, want <= 4", allocs)
 	}
 }
 

@@ -375,8 +375,9 @@ type queryResponse struct {
 	Points   []queryPoint `json:"points"`
 }
 
-// maxQueryBuckets bounds the buckets one /query window may ask for: each
-// is computed while the request holds the fleet's View lock.
+// maxQueryBuckets bounds the buckets one /query request may ask for: each
+// is computed while the request holds the fleet's View lock. A JSON query
+// reads one series; a CSV export is bounded on rows × series.
 const maxQueryBuckets = 1 << 16
 
 // maxWindowS is the magnitude (in seconds) past which an offset no longer
@@ -490,6 +491,12 @@ func (s *Server) handleQueryCSV(w http.ResponseWriter, r *http.Request, t *Twin,
 		names := rec.Names()
 		if raw := r.URL.Query().Get("series"); raw != "" {
 			names = strings.Split(raw, ",")
+		}
+		if step > 0 && !to.Before(from) {
+			if rows := int64(to.Sub(from)/step) + 1; rows*int64(len(names)) > maxQueryBuckets {
+				return fmt.Errorf("CSV of %d rows × %d series exceeds %d cells",
+					rows, len(names), maxQueryBuckets)
+			}
 		}
 		w.Header().Set("Content-Type", "text/csv")
 		return rec.WriteCSV(w, names, from, to, step)

@@ -383,11 +383,14 @@ func TestServerQueryEndpoints(t *testing.T) {
 		"/twins/" + id + "/query?format=csv&series=" + name + "&from_s=0&to_s=600&step_s=0.005": http.StatusBadRequest,
 		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=65535&step_s=1":              http.StatusOK,
 		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=65536&step_s=1":              http.StatusBadRequest,
-		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=NaN&step_s=60":               http.StatusBadRequest,
-		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=%2BInf&step_s=60":            http.StatusBadRequest,
-		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=1e10&step_s=60":              http.StatusBadRequest,
-		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=600&step_s=1e300":            http.StatusBadRequest,
-		"/twins/" + id + "/series?building=99":                                                  http.StatusBadRequest,
+		// A CSV export is bounded on rows × series: every series at the
+		// largest single-series window is too many cells.
+		"/twins/" + id + "/query?format=csv&building=0&from_s=0&to_s=65535&step_s=1": http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=NaN&step_s=60":    http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=%2BInf&step_s=60": http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=1e10&step_s=60":   http.StatusBadRequest,
+		"/twins/" + id + "/query?series=" + name + "&from_s=0&to_s=600&step_s=1e300": http.StatusBadRequest,
+		"/twins/" + id + "/series?building=99":                                       http.StatusBadRequest,
 	} {
 		resp, err := client.Get(ts.URL + path)
 		if err != nil {

@@ -122,9 +122,6 @@ func NewAirbox(coil CoilConfig, fan FanConfig, pump *hydraulic.Pump, dewPID pid.
 // SetDewTarget updates the outlet dew-point target T_a,t_dew.
 func (b *Airbox) SetDewTarget(t float64) { b.dew.SetSetpoint(t) }
 
-// DewTarget returns the current outlet dew-point target.
-func (b *Airbox) DewTarget() float64 { return b.dew.Setpoint() }
-
 // SetFanFlow commands the ventilation volume flow (clamped to the fan
 // capacity). The CO₂flap opens whenever the fans run.
 func (b *Airbox) SetFanFlow(m3s float64) {
@@ -174,9 +171,6 @@ func (b *Airbox) ParkPump() { b.pump.SetFlow(0) }
 // — the degradation watchdog's response to this box's SHT75 mote going
 // stale (see pid.Controller.SetIntegratorFrozen).
 func (b *Airbox) SetDewIntegratorFrozen(on bool) { b.dew.SetIntegratorFrozen(on) }
-
-// CoilPump exposes the coil water pump for fault injection.
-func (b *Airbox) CoilPump() *hydraulic.Pump { return b.pump }
 
 // UpdateDewControl advances the outlet-dew PID with the measured outlet
 // dew point and commands the coil pump accordingly.

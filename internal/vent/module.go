@@ -244,12 +244,6 @@ func (m *Module) DeratePumps(frac float64) {
 	}
 }
 
-// SetPreference updates the occupant temperature/humidity preference.
-func (m *Module) SetPreference(tPref, rhPref float64) {
-	m.st.TPref = tPref
-	m.st.RHPref = rhPref
-}
-
 // TPDew returns the preferred dew point T_p_dew derived from the occupant
 // preference.
 func (m *Module) TPDew() float64 {

@@ -44,8 +44,8 @@ func (b *Airbox) RestoreState(st AirboxState) {
 }
 
 // ModuleState is the ventilation module's full mutable state. TPref/RHPref
-// travel because SetPreference mutates them at runtime; the psychrometric
-// memos stay outside it and are rebuilt cold (same pure functions, same
+// are set at construction and never change, but they stay in the state so
+// existing snapshots keep their shape; the psychrometric memos stay outside it and are rebuilt cold (same pure functions, same
 // arguments, same bits). In the module's own copy the Boxes slots stay
 // unused — the airboxes hold their state — and ExportState fills them.
 type ModuleState struct {

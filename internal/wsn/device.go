@@ -42,7 +42,7 @@ type SensorDevice struct {
 	st SensorDeviceState // Sched slot unused: see the type
 }
 
-var _ sim.Cadenced = (*SensorDevice)(nil)
+var _ sim.Component = (*SensorDevice)(nil)
 
 // SensorDeviceConfig assembles a SensorDevice.
 type SensorDeviceConfig struct {
@@ -153,62 +153,20 @@ func (d *SensorDevice) SetDrift(ratePerS float64) {
 	}
 }
 
-// Step implements sim.Component.
-func (d *SensorDevice) Step(env *sim.Env) { d.StepN(env, 1) }
-
-// StepN implements sim.Cadenced: n consecutive ticks of idle battery
-// draw and sampling-accumulator bookkeeping, bit-identical to n Step
-// calls. The idle drain stays one Battery.Drain per tick — float
-// addition is not associative, so batching k drains into one would
-// change the battery trajectory.
+// Step implements sim.Component: one tick of idle battery draw and
+// sampling-accumulator bookkeeping, sampling whenever the accumulator
+// crosses T_spl.
 //
 //bzlint:hotpath
-func (d *SensorDevice) StepN(env *sim.Env, n uint64) {
+func (d *SensorDevice) Step(env *sim.Env) {
 	dt := env.Dt()
-	b := d.node.Battery()
-	idle := energy.IdlePowerW * dt
-	for ; n > 0; n-- {
-		if b != nil {
-			b.Drain(idle)
-		}
-		d.st.SinceSample += dt
-		for d.st.SinceSample >= d.tsplS {
-			d.st.SinceSample -= d.tsplS
-			d.sampleOnce()
-		}
+	if b := d.node.Battery(); b != nil {
+		b.Drain(energy.IdlePowerW * dt)
 	}
-}
-
-// NextDue implements sim.Cadenced by replaying the sampling accumulator's
-// exact float arithmetic, so the predicted tick matches per-tick polling
-// bit-for-bit even when dt is not exactly representable (e.g. a 100 ms
-// step). A stalled accumulator (dt below the float resolution of the
-// period — a configuration where per-tick polling would never fire
-// either) parks the device effectively forever.
-func (d *SensorDevice) NextDue(dtS float64) uint64 {
-	return nextAccumDue(d.st.SinceSample, dtS, d.tsplS)
-}
-
-// neverDue is the wheel distance used for a schedule that cannot fire:
-// far enough to outlast any practical run, small enough that adding it to
-// the current tick cannot overflow.
-const neverDue = uint64(1) << 62
-
-// nextAccumDue replays `since += dt` until it crosses period, returning
-// the number of ticks until the crossing.
-func nextAccumDue(since, dtS, periodS float64) uint64 {
-	var n uint64
-	for {
-		n++
-		next := since + dtS
-		if next >= periodS {
-			return n
-		}
-		//bzlint:allow floateq float fixed-point stall guard: dt too small to advance the accumulator
-		if next == since {
-			return neverDue
-		}
-		since = next
+	d.st.SinceSample += dt
+	for d.st.SinceSample >= d.tsplS {
+		d.st.SinceSample -= d.tsplS
+		d.sampleOnce()
 	}
 }
 
@@ -274,7 +232,7 @@ type PeriodicBroadcaster struct {
 	st      PeriodicBroadcasterState
 }
 
-var _ sim.Cadenced = (*PeriodicBroadcaster)(nil)
+var _ sim.Component = (*PeriodicBroadcaster)(nil)
 
 // NewPeriodicBroadcaster builds a periodic publisher.
 func NewPeriodicBroadcaster(node *Node, net *Network, typ MsgType, zone int,
@@ -296,25 +254,14 @@ func (p *PeriodicBroadcaster) Name() string {
 	return fmt.Sprintf("wsn.periodic.%s", p.node.ID())
 }
 
-// Step implements sim.Component.
-func (p *PeriodicBroadcaster) Step(env *sim.Env) { p.StepN(env, 1) }
-
-// StepN implements sim.Cadenced: n ticks of period accumulation with at
-// most one broadcast per tick, exactly as n Step calls would behave.
+// Step implements sim.Component: period accumulation with at most one
+// broadcast per tick.
 //
 //bzlint:hotpath
-func (p *PeriodicBroadcaster) StepN(env *sim.Env, n uint64) {
-	dt := env.Dt()
-	for ; n > 0; n-- {
-		p.st.Since += dt
-		if p.st.Since >= p.periodS {
-			p.st.Since = 0
-			_ = p.net.Broadcast(p.node, Message{Type: p.typ, Zone: p.zone, Value: p.read()})
-		}
+func (p *PeriodicBroadcaster) Step(env *sim.Env) {
+	p.st.Since += env.Dt()
+	if p.st.Since >= p.periodS {
+		p.st.Since = 0
+		_ = p.net.Broadcast(p.node, Message{Type: p.typ, Zone: p.zone, Value: p.read()})
 	}
-}
-
-// NextDue implements sim.Cadenced (see SensorDevice.NextDue).
-func (p *PeriodicBroadcaster) NextDue(dtS float64) uint64 {
-	return nextAccumDue(p.st.Since, dtS, p.periodS)
 }

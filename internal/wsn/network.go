@@ -63,9 +63,6 @@ type Node struct {
 // ID returns the node identifier.
 func (n *Node) ID() NodeID { return n.id }
 
-// Class returns the node power class.
-func (n *Node) Class() PowerClass { return n.class }
-
 // Battery returns the node battery (nil for AC nodes).
 func (n *Node) Battery() *energy.Battery { return n.battery }
 
@@ -177,10 +174,8 @@ type Network struct {
 	// TelosB sniffer nodes that log all network packets).
 	sniffers []func(Message)
 
-	// wake, when set, is invoked whenever the pending queue transitions
-	// from empty to non-empty — the hook an on-demand scheduler uses to
-	// step the network exactly on ticks where a producer transmitted.
-	wake func()
+	// busyTicks counts the Step calls that found frames to resolve.
+	busyTicks uint64
 
 	st NetworkState // Nodes slot unused: see the type
 }
@@ -251,14 +246,6 @@ func (n *Network) Subscribe(fn func(Message), types ...MsgType) {
 	n.subs = append(n.subs, sub)
 }
 
-// SetWake installs a callback invoked when the pending queue becomes
-// non-empty (once per tick, on the first Broadcast of that tick). The
-// simulation core wires this to the engine's on-demand scheduling so the
-// network is stepped exactly on the ticks where some producer ran —
-// behaviourally identical to the former every-tick Step, which returned
-// immediately when nothing was pending.
-func (n *Network) SetWake(fn func()) { n.wake = fn }
-
 // SetLossBoost adds p to the configured LossFloor for subsequent ticks
 // (total clamped to [0, 1] at draw time). Fault plans use it for burst
 // packet-loss windows; zero restores the configured floor bit-exactly.
@@ -318,14 +305,18 @@ func (n *Network) Broadcast(node *Node, msg Message) error {
 	msg.Source = node.id
 	msg.Seq = node.seq
 	n.pending = append(n.pending, pendingTx{msg: msg, node: node})
-	if len(n.pending) == 1 && n.wake != nil {
-		n.wake()
-	}
 	return nil
 }
 
 // Stats returns the cumulative medium statistics.
 func (n *Network) Stats() Stats { return n.st.Stats }
+
+// BusyTicks returns how many ticks since construction the network had
+// frames to resolve; on every other tick Step returns at once. Transmit
+// timing is value-dependent (adaptive T_snd), so the count is a compact
+// check on the whole schedule. It is not snapshot state: a restored
+// network counts from its restore.
+func (n *Network) BusyTicks() uint64 { return n.busyTicks }
 
 // Step implements sim.Component: assigns channel-access offsets, resolves
 // CSMA deferral and CCA-blind collisions, and delivers surviving packets
@@ -336,6 +327,7 @@ func (n *Network) Step(env *sim.Env) {
 	if len(n.pending) == 0 {
 		return
 	}
+	n.busyTicks++
 	if n.st.Jammed {
 		n.st.Stats.Sent += len(n.pending)
 		n.st.Stats.Jammed += len(n.pending)
